@@ -8,8 +8,10 @@
 #include <chrono>
 #include <ctime>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "gen2/inventory.hpp"
@@ -107,15 +109,15 @@ void BM_PathEvaluationCached(benchmark::State& state) {
 }
 BENCHMARK(BM_PathEvaluationCached)->Arg(0)->Arg(1)->ArgNames({"obs"});
 
-/// Shared A/B overhead gate: finely interleaved ~5 ms slices in a
-/// deterministically shuffled order, compared by per-mode medians, 1%
-/// budget on mode-true vs mode-false. A rigid A/B/B/A pattern measurably
+/// Shared A/B overhead gate: finely interleaved slices in a
+/// deterministically shuffled order, compared by per-mode medians, with
+/// `budget` (a fraction) on mode-true vs mode-false. A rigid A/B/B/A pattern measurably
 /// aliases with periodic system activity (timer ticks, frequency-scaling
 /// oscillation) on shared hardware — a null experiment with the flag held
 /// constant still showed ~1% "overhead" under that pattern. Shuffling
 /// decorrelates the mode from any such period and the median shrugs off
 /// the occasional descheduled slice.
-int run_ab_gate(const char* label,
+int run_ab_gate(const char* label, double budget,
                 const std::function<double(bool)>& time_slice) {
   constexpr int kSlicesPerMode = 100;
   std::vector<char> order;
@@ -148,11 +150,11 @@ int run_ab_gate(const char* label,
   const double overhead = med_on / med_off - 1.0;
   std::printf("%s: off %.6fs/slice, on %.6fs/slice, %+.3f%%\n", label, med_off,
               med_on, overhead * 100.0);
-  if (overhead > 0.01) {
-    std::printf("FAIL: %s costs more than 1%% on the hot loop\n", label);
+  if (overhead > budget) {
+    std::printf("FAIL: %s costs more than %.0f%%\n", label, budget * 100.0);
     return 1;
   }
-  std::printf("OK: within the 1%% disabled-overhead budget\n");
+  std::printf("OK: within the %.0f%% overhead budget\n", budget * 100.0);
   return 0;
 }
 
@@ -161,7 +163,8 @@ int run_ab_gate(const char* label,
 /// slower. The hot loop compiles identically in both modes, so this holds
 /// with plenty of margin; a regression here means someone put registry
 /// traffic back on the per-evaluation path. Also gates the disabled
-/// ScopedPhase markers (check_phase_overhead below) under the same budget.
+/// ScopedPhase markers (check_phase_overhead below) under the same budget,
+/// and a parallel sweep (check_parallel_obs_overhead) under 5%.
 int check_obs_overhead() {
   const auto cal = reliability::CalibrationProfile::paper2006();
   const reliability::Scenario sc = reliability::make_read_range_scenario(4.0, cal);
@@ -190,7 +193,7 @@ int check_obs_overhead() {
     return thread_seconds() - t0;
   };
 
-  const int rc = run_ab_gate("obs overhead on cached path eval", time_slice);
+  const int rc = run_ab_gate("obs overhead on cached path eval", 0.01, time_slice);
   obs::set_enabled(true);
   if (sink == 42.0) std::puts("");  // Defeat dead-code elimination.
   return rc;
@@ -235,9 +238,42 @@ int check_phase_overhead() {
     return thread_seconds() - t0;
   };
   const int rc =
-      run_ab_gate("disabled phase markers on cached path eval", time_slice);
+      run_ab_gate("disabled phase markers on cached path eval", 0.01, time_slice);
   obs::prof::set_attribution_enabled(saved);
   if (sink == 42.0) std::puts("");  // Defeat dead-code elimination.
+  return rc;
+}
+
+/// Parallel obs overhead: one 80-repetition run_repeated_parallel call on
+/// 4 lanes over the one-badge human scenario, obs on vs off, compared by
+/// interleaved wall-time medians with a 5% budget. The single-thread gate
+/// above cannot see hooks that are cheap alone but contend across lanes:
+/// per-round registry writes from 4 lanes cost this call about 2x before
+/// gen2 and the portal moved to per-pass tallies. Needs 2+ hardware
+/// threads to mean anything, so it prints SKIP on smaller machines.
+int check_parallel_obs_overhead() {
+  if (std::thread::hardware_concurrency() < 2) {
+    std::printf("SKIP: parallel obs overhead needs >= 2 hardware threads\n");
+    return 0;
+  }
+  const auto cal = reliability::CalibrationProfile::paper2006();
+  const reliability::Scenario sc =
+      reliability::make_human_tracking_scenario(reliability::HumanScenarioOptions{}, cal);
+  constexpr std::size_t kReps = 80;
+  constexpr std::size_t kLanes = 4;
+  std::size_t sink = 0;
+  auto time_slice = [&](bool obs_on) {
+    obs::set_enabled(obs_on);
+    const auto t0 = std::chrono::steady_clock::now();
+    const reliability::RepeatedRuns runs =
+        reliability::run_repeated_parallel(sc, kReps, 20070625, kLanes);
+    const auto t1 = std::chrono::steady_clock::now();
+    for (const auto& log : runs.logs) sink += log.size();
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  const int rc = run_ab_gate("obs overhead on a 4-lane repeated-pass sweep", 0.05, time_slice);
+  obs::set_enabled(true);
+  if (sink == 42) std::puts("");  // Defeat dead-code elimination.
   return rc;
 }
 
@@ -246,8 +282,9 @@ int check_phase_overhead() {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--check-obs-overhead") {
-      const int rc = check_obs_overhead();
-      return rc != 0 ? rc : check_phase_overhead();
+      int rc = check_obs_overhead();
+      if (rc == 0) rc = check_phase_overhead();
+      return rc != 0 ? rc : check_parallel_obs_overhead();
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -11,46 +12,74 @@ namespace rfidsim::gen2 {
 
 namespace {
 
-/// Per-round registry hooks: aggregate adds once per round, never per slot,
-/// so the MAC loop itself stays untouched.
-void record_round_metrics(const InventoryRoundResult& result, Session session) {
-  static const struct Metrics {
-    obs::Counter& rounds = obs::counter("gen2.rounds");
-    obs::Counter& total_slots = obs::counter("gen2.total_slots");
-    obs::Counter& empty_slots = obs::counter("gen2.empty_slots");
-    obs::Counter& collision_slots = obs::counter("gen2.collision_slots");
-    obs::Counter& success_slots = obs::counter("gen2.success_slots");
-    obs::Counter& singulations = obs::counter("gen2.singulations");
-    obs::Counter& mpr_decodes = obs::counter("gen2.mpr_decodes");
-    obs::Histogram& duration = obs::histogram(
+obs::Histogram& round_duration_histogram() {
+  // Rounds run ~1 ms (empty) to ~1 s (huge populations).
+  static obs::Histogram& h = []() -> obs::Histogram& {
+    obs::Histogram& registered = obs::histogram(
         "gen2.round_duration_seconds",
-        // Rounds run ~1 ms (empty) to ~1 s (huge populations).
-        obs::HistogramSpec{.first_upper_bound = 1e-3, .growth = 2.0, .buckets = 12});
-    obs::Gauge& final_q = obs::gauge("gen2.final_q");
-  } m;
-  m.rounds.add(1);
-  m.total_slots.add(result.total_slots);
-  m.empty_slots.add(result.empty_slots);
-  m.collision_slots.add(result.collision_slots);
-  m.success_slots.add(result.success_slots);
-  m.singulations.add(result.singulated.size());
-  m.mpr_decodes.add(result.mpr_decodes);
-  m.duration.observe(result.duration_s);
-  m.final_q.set(result.final_q);
-  // Per-session singulation attribution ({session="s0".."s3"} children of
-  // the plain gen2.sessions family): which redundancy axis the reads came
-  // from. All four children resolved once — the round loop never takes
-  // the registry lock.
-  static const std::array<obs::Counter*, 4> session_counters = {
-      &obs::counter("gen2.sessions", {{"session", "s0"}}),
-      &obs::counter("gen2.sessions", {{"session", "s1"}}),
-      &obs::counter("gen2.sessions", {{"session", "s2"}}),
-      &obs::counter("gen2.sessions", {{"session", "s3"}}),
-  };
-  session_counters[static_cast<std::size_t>(session)]->add(result.singulated.size());
+        obs::HistogramSpec{
+            .first_upper_bound = 1e-3, .growth = 2.0, .buckets = kRoundDurationBuckets});
+    // The tally's bucket array is sized for this layout.
+    require(registered.edges().size() == kRoundDurationBuckets,
+            "gen2.round_duration_seconds registered with a foreign bucket layout");
+    return registered;
+  }();
+  return h;
 }
 
 }  // namespace
+
+InventoryEngine::MetricsTally::MetricsTally(MetricsTally&& other) noexcept
+    : session_(other.session_), counts_(std::exchange(other.counts_, {})) {}
+
+void InventoryEngine::MetricsTally::record(const InventoryRoundResult& round) {
+  ++counts_.rounds;
+  counts_.total_slots += round.total_slots;
+  counts_.empty_slots += round.empty_slots;
+  counts_.collision_slots += round.collision_slots;
+  counts_.success_slots += round.success_slots;
+  counts_.singulations += round.singulated.size();
+  counts_.mpr_decodes += round.mpr_decodes;
+  ++counts_.duration_buckets[round_duration_histogram().bucket_index(round.duration_s)];
+  counts_.duration_sum_s += round.duration_s;
+  counts_.last_q = round.final_q;
+}
+
+void InventoryEngine::MetricsTally::flush() {
+  if (counts_.rounds == 0) return;
+  if (obs::hooks_enabled()) {
+    static const struct Metrics {
+      obs::Counter& rounds = obs::counter("gen2.rounds");
+      obs::Counter& total_slots = obs::counter("gen2.total_slots");
+      obs::Counter& empty_slots = obs::counter("gen2.empty_slots");
+      obs::Counter& collision_slots = obs::counter("gen2.collision_slots");
+      obs::Counter& success_slots = obs::counter("gen2.success_slots");
+      obs::Counter& singulations = obs::counter("gen2.singulations");
+      obs::Counter& mpr_decodes = obs::counter("gen2.mpr_decodes");
+      obs::Gauge& final_q = obs::gauge("gen2.final_q");
+      // {session="s0".."s3"} children of the plain gen2.sessions family:
+      // which redundancy axis the reads came from.
+      std::array<obs::Counter*, 4> sessions = {
+          &obs::counter("gen2.sessions", {{"session", "s0"}}),
+          &obs::counter("gen2.sessions", {{"session", "s1"}}),
+          &obs::counter("gen2.sessions", {{"session", "s2"}}),
+          &obs::counter("gen2.sessions", {{"session", "s3"}}),
+      };
+    } m;
+    m.rounds.add(counts_.rounds);
+    m.total_slots.add(counts_.total_slots);
+    m.empty_slots.add(counts_.empty_slots);
+    m.collision_slots.add(counts_.collision_slots);
+    m.success_slots.add(counts_.success_slots);
+    m.singulations.add(counts_.singulations);
+    m.mpr_decodes.add(counts_.mpr_decodes);
+    m.final_q.set(counts_.last_q);
+    m.sessions[static_cast<std::size_t>(session_)]->add(counts_.singulations);
+    round_duration_histogram().add_bucketed(counts_.duration_buckets,
+                                            counts_.duration_sum_s);
+  }
+  counts_ = Counts{};
+}
 
 InventoryRoundResult InventoryEngine::run_round(std::vector<TagState>& states,
                                                 const std::vector<TagLink>& links,
@@ -90,8 +119,8 @@ InventoryRoundResult InventoryEngine::run_round(std::vector<TagState>& states,
                               ? 1
                               : static_cast<std::size_t>(config_.mpr_capacity);
 
-  std::vector<std::size_t> repliers;
-  std::vector<std::size_t> winners;
+  std::vector<std::size_t>& repliers = repliers_;
+  std::vector<std::size_t>& winners = winners_;
   while (slots_remaining > 0 && result.total_slots < config_.q.max_slots_per_round) {
     ++result.total_slots;
     --slots_remaining;
@@ -206,7 +235,7 @@ InventoryRoundResult InventoryEngine::run_round(std::vector<TagState>& states,
   }
 
   result.final_q = qfp_;
-  if (obs::hooks_enabled()) record_round_metrics(result, config_.session);
+  if (obs::hooks_enabled()) tally_.record(result);
   return result;
 }
 

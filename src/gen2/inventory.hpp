@@ -14,7 +14,9 @@
 // consumed — time a moving tag does not get back.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -82,10 +84,22 @@ struct InventoryRoundResult {
   double final_q = 0.0;
 };
 
+/// Finite buckets of the gen2.round_duration_seconds histogram (1 ms,
+/// doubling; a +Inf bucket follows).
+inline constexpr std::size_t kRoundDurationBuckets = 12;
+
 /// Executes inventory rounds over a tag population.
+///
+/// Observability: while obs::hooks_enabled(), each round is folded into a
+/// plain per-engine tally, never into the shared registry; flush_metrics()
+/// publishes the tally to the gen2.* metrics. The destructor flushes too.
+/// A copied engine starts with an empty tally and a moved-from one is left
+/// with none, so no round is ever published twice or dropped; engines are
+/// not assignable.
 class InventoryEngine {
  public:
-  explicit InventoryEngine(InventoryConfig config) : config_(config) {}
+  explicit InventoryEngine(InventoryConfig config)
+      : config_(config), tally_(config.session) {}
 
   /// Runs one full round starting at simulation time `t_s`.
   ///
@@ -103,11 +117,55 @@ class InventoryEngine {
   /// Resets Qfp to the configured initial value.
   void reset_q() { qfp_ = config_.q.initial_q; }
 
+  /// Adds the rounds tallied since construction or the last flush to the
+  /// gen2.* registry metrics (when observability is enabled) and clears
+  /// the tally. PortalSimulator and MultiSessionInventory flush once per
+  /// pass, so a registry read mid-pass lags by at most that pass.
+  void flush_metrics() { tally_.flush(); }
+
  private:
+  /// Single-writer gen2.* tally: rounds, slot outcomes, singulations (the
+  /// per-session family child is this engine's session), MPR decodes, the
+  /// last round's Q and round durations bucketed with the registry
+  /// histogram's own edges.
+  class MetricsTally {
+   public:
+    explicit MetricsTally(Session session) : session_(session) {}
+    MetricsTally(const MetricsTally& other) : session_(other.session_) {}
+    MetricsTally(MetricsTally&& other) noexcept;
+    MetricsTally& operator=(const MetricsTally&) = delete;
+    MetricsTally& operator=(MetricsTally&&) = delete;
+    ~MetricsTally() { flush(); }
+
+    void record(const InventoryRoundResult& round);
+    void flush();
+
+   private:
+    struct Counts {
+      std::uint64_t rounds = 0;
+      std::uint64_t total_slots = 0;
+      std::uint64_t empty_slots = 0;
+      std::uint64_t collision_slots = 0;
+      std::uint64_t success_slots = 0;
+      std::uint64_t singulations = 0;
+      std::uint64_t mpr_decodes = 0;
+      /// gen2.round_duration_seconds buckets, +Inf last.
+      std::array<std::uint64_t, kRoundDurationBuckets + 1> duration_buckets{};
+      double duration_sum_s = 0.0;
+      double last_q = 0.0;
+    };
+    Session session_;
+    Counts counts_;
+  };
+
   InventoryConfig config_;
   double qfp_ = -1.0;  ///< Lazily initialized from config on first round.
   /// Which flag the next round targets (dual-target mode toggles this).
   InventoriedFlag next_target_ = InventoriedFlag::A;
+  /// Per-slot scratch reused across rounds (contents never outlive a slot).
+  std::vector<std::size_t> repliers_;
+  std::vector<std::size_t> winners_;
+  MetricsTally tally_;
 };
 
 }  // namespace rfidsim::gen2

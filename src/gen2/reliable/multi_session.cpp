@@ -77,6 +77,7 @@ MultiSessionResult MultiSessionInventory::run(std::vector<TagState>& states,
   }
 
   result.total_duration_s = clock_s - t_s;
+  for (auto& e : engines_) e.flush_metrics();
 
   // Collapse per-session counts into distinct-tag lists + the fusion input.
   std::size_t population = states.size();

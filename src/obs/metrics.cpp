@@ -90,13 +90,32 @@ Histogram::Histogram(const HistogramSpec& spec)
   }
 }
 
+std::size_t Histogram::bucket_index(double x) const {
+  return static_cast<std::size_t>(std::lower_bound(edges_.begin(), edges_.end(), x) -
+                                  edges_.begin());
+}
+
 void Histogram::observe(double x) {
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), x);
-  const auto bucket = static_cast<std::size_t>(it - edges_.begin());
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  counts_[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
+  }
+}
+
+void Histogram::add_bucketed(std::span<const std::uint64_t> bucket_counts, double sum) {
+  require(bucket_counts.size() == counts_.size(),
+          "Histogram: bulk add needs one count per bucket, +Inf included");
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
+    if (bucket_counts[i] == 0) continue;
+    counts_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+    total += bucket_counts[i];
+  }
+  if (total == 0) return;
+  count_.fetch_add(total, std::memory_order_relaxed);
+  double cur = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(cur, cur + sum, std::memory_order_relaxed)) {
   }
 }
 

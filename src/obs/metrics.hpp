@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,6 +134,19 @@ class Histogram {
   explicit Histogram(const HistogramSpec& spec);
 
   void observe(double x);
+
+  /// The bucket observe(x) counts `x` in: the first finite edge >= x, or
+  /// edges().size() (the +Inf bucket) past the last one.
+  std::size_t bucket_index(double x) const;
+
+  /// Bulk add of pre-bucketed observations, for hooks that tally locally
+  /// and publish once: `bucket_counts[i]` more observations in bucket i
+  /// (size edges().size() + 1, the last entry the +Inf bucket; throws
+  /// ConfigError otherwise) whose values total `sum`. Bucket counts and
+  /// count() end up exactly as if every value had gone through observe();
+  /// sum() may differ in the last bits, because the caller's partial sum
+  /// associates the additions differently.
+  void add_bucketed(std::span<const std::uint64_t> bucket_counts, double sum);
 
   const HistogramSpec& spec() const { return spec_; }
   /// Finite upper bucket edges, ascending (size == spec().buckets).

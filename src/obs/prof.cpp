@@ -20,6 +20,7 @@
 #ifdef RFIDSIM_PROF_HAS_TIMERS
 #include <errno.h>
 #include <execinfo.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -65,6 +66,10 @@ struct ThreadEntry {
   std::atomic<std::uint32_t> lane{kNoLane};
   std::atomic<bool> alive{true};
   pid_t tid = 0;
+  /// The thread's own CPU clock. CLOCK_THREAD_CPUTIME_ID would name the
+  /// clock of whichever thread arms the timer — start() arms every
+  /// registered thread's timer from the caller's thread.
+  clockid_t cpu_clock = CLOCK_THREAD_CPUTIME_ID;
   timer_t timer{};
   bool timer_armed = false;  ///< Guarded by EntryRegistry::mutex.
 };
@@ -136,7 +141,7 @@ void arm_timer_locked(ThreadEntry& entry) {
   sev.sigev_notify = SIGEV_THREAD_ID;
   sev.sigev_signo = SIGPROF;
   sev.sigev_notify_thread_id = entry.tid;
-  if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, &entry.timer) != 0) return;
+  if (timer_create(entry.cpu_clock, &sev, &entry.timer) != 0) return;
   const long interval_ns =
       static_cast<long>(g_interval_usec.load(std::memory_order_relaxed)) * 1000L;
   itimerspec spec{};
@@ -264,6 +269,11 @@ void register_thread(std::uint32_t lane) {
   }
   auto entry = std::make_shared<ThreadEntry>();
   entry->tid = static_cast<pid_t>(::syscall(SYS_gettid));
+  // On failure keep the calling-thread clock: still right for a thread
+  // that registers after start() and so arms its own timer.
+  if (pthread_getcpuclockid(pthread_self(), &entry->cpu_clock) != 0) {
+    entry->cpu_clock = CLOCK_THREAD_CPUTIME_ID;
+  }
   entry->lane.store(lane, std::memory_order_relaxed);
   std::lock_guard lock(entry_registry().mutex);
   entry_registry().entries.push_back(entry);

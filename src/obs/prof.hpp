@@ -1,8 +1,8 @@
 // rfidsim::obs::prof — Linux signal-driven sampling profiler.
 //
 // Per-thread CPU-time sampling: every registered thread gets a POSIX timer
-// (timer_create on CLOCK_THREAD_CPUTIME_ID, SIGEV_THREAD_ID delivery) that
-// raises SIGPROF on that thread at a fixed CPU-time interval. The handler
+// (timer_create on the thread's own CPU clock, SIGEV_THREAD_ID delivery)
+// that raises SIGPROF on that thread at a fixed CPU-time interval. The handler
 // captures a backtrace() stack into the thread's bounded sample ring — the
 // flight recorder's per-thread-ring pattern, but with a lock-free
 // single-writer ring because a signal handler cannot take a mutex it might

@@ -27,13 +27,17 @@ PoolMetrics& pool_metrics() {
   return m;
 }
 
+thread_local std::size_t t_lane = ThreadPool::kNotALane;
+
+}  // namespace
+
 /// Per-lane accumulators, labelled by the worker's construction-time
 /// index: busy (executing tasks), idle (parked), and queue-wait (the time
 /// tasks this lane executed spent queued before dequeue). Shared across
 /// pools — lane "0" of a later pool accumulates onto lane "0" of an
 /// earlier one, the same convention the reader-labelled portal metrics
 /// use.
-struct LaneMetrics {
+struct ThreadPool::LaneMetrics {
   obs::Gauge& busy_s;
   obs::Gauge& idle_s;
   obs::Gauge& wait_s;
@@ -44,13 +48,21 @@ struct LaneMetrics {
         wait_s(obs::gauge("sweep.pool.lane_queue_wait_seconds", {{"lane", lane}})) {}
 };
 
-thread_local std::size_t t_lane = ThreadPool::kNotALane;
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  }
+  // With hooks on, every metric the workers feed is registered here, on the
+  // constructing thread, before any worker starts. That also constructs the
+  // registry before the pool, so it outlives a pool with static storage
+  // (sweep::shared_engine). Workers of a pool built with hooks off record
+  // nothing and never touch the registry.
+  if (obs::hooks_enabled()) {
+    pool_metrics();
+    lane_metrics_.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      lane_metrics_.emplace_back(std::to_string(t));
+    }
   }
   workers_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
@@ -95,23 +107,17 @@ std::size_t ThreadPool::current_lane() { return t_lane; }
 void ThreadPool::worker_loop(std::size_t lane) {
   t_lane = lane;
   obs::prof::register_thread(static_cast<std::uint32_t>(lane));
-  LaneMetrics* lane_metrics = nullptr;  // Registered on first recorded pass.
-  const std::string lane_label = std::to_string(lane);
+  LaneMetrics* lane_metrics =
+      lane < lane_metrics_.size() ? &lane_metrics_[lane] : nullptr;
   for (;;) {
     PendingTask task;
     std::size_t depth;
-    const bool record = obs::hooks_enabled();
-    if (record && lane_metrics == nullptr) {
-      lane_metrics = new LaneMetrics(lane_label);  // Refs are process-lived.
-    }
+    const bool record = lane_metrics != nullptr && obs::hooks_enabled();
     const auto park = std::chrono::steady_clock::now();
     {
       std::unique_lock lock(mutex_);
       work_available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {  // stopping_ with a drained queue.
-        delete lane_metrics;
-        return;
-      }
+      if (queue_.empty()) return;  // stopping_ with a drained queue.
       task = std::move(queue_.front());
       queue_.pop_front();
       depth = queue_.size();
@@ -131,7 +137,7 @@ void ThreadPool::worker_loop(std::size_t lane) {
       }
     }
     task.fn();
-    if (record && lane_metrics != nullptr) {
+    if (record) {
       lane_metrics->busy_s.add(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - dequeue)
               .count());

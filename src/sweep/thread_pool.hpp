@@ -65,8 +65,13 @@ class ThreadPool {
     std::uint64_t enqueue_ns = 0;
   };
 
+  struct LaneMetrics;
+
   void worker_loop(std::size_t lane);
 
+  /// One per worker, registered by the constructor before any worker
+  /// starts; empty when the pool was built with obs hooks off.
+  std::vector<LaneMetrics> lane_metrics_;
   std::vector<std::thread> workers_;
   std::deque<PendingTask> queue_;
   std::mutex mutex_;

@@ -22,7 +22,8 @@ double exceed_probability(double margin_db, double sigma_db) {
   return 0.5 * std::erfc(-margin_db / (sigma_db * std::numbers::sqrt2));
 }
 
-/// Portal-level registry hooks (one add per reader round / fault event).
+/// Portal-level registry metrics, published once per pass from the run's
+/// stats (see publish_pass_metrics).
 struct PortalMetrics {
   obs::Counter& rounds = obs::counter("sys.portal.rounds");
   obs::Counter& read_events = obs::counter("sys.portal.read_events");
@@ -40,7 +41,12 @@ PortalMetrics& portal_metrics() {
 
 }  // namespace
 
-const PortalSimulator::ReaderHooks& PortalSimulator::reader_hooks(std::size_t r) {
+void PortalSimulator::publish_pass_metrics(const EventLog& log) {
+  for (ReaderRuntime& rt : readers_) {
+    rt.engine.flush_metrics();
+    for (auto& e : rt.session_engines) e.flush_metrics();
+  }
+  if (!obs::hooks_enabled()) return;
   if (reader_hooks_.empty()) {
     reader_hooks_.reserve(readers_.size());
     char label[24];
@@ -56,7 +62,24 @@ const PortalSimulator::ReaderHooks& PortalSimulator::reader_hooks(std::size_t r)
       });
     }
   }
-  return reader_hooks_[r];
+  PortalMetrics& m = portal_metrics();
+  auto add = [](obs::Counter& plain, obs::Counter* labelled, std::uint64_t n) {
+    if (n == 0) return;
+    plain.add(n);
+    labelled->add(n);
+  };
+  for (std::size_t r = 0; r < stats_.per_reader.size(); ++r) {
+    const ReaderRunStats& rs = stats_.per_reader[r];
+    const ReaderHooks& rh = reader_hooks_[r];
+    add(m.rounds, rh.rounds, rs.rounds);
+    add(m.read_events, rh.read_events,
+        static_cast<std::uint64_t>(std::count_if(
+            log.begin(), log.end(), [r](const ReadEvent& ev) { return ev.reader_index == r; })));
+    add(m.jammed_rounds, rh.jammed_rounds, rs.jammed_rounds);
+    add(m.dead_antenna_rounds, rh.dead_antenna_rounds, rs.dead_antenna_rounds);
+    add(m.crashes, rh.crashes, rs.crashes);
+    if (rs.downtime_s > 0.0) m.downtime_s.add(rs.downtime_s);
+  }
 }
 
 PortalSimulator::PortalSimulator(const scene::Scene& scene, PortalConfig config)
@@ -226,11 +249,6 @@ void PortalSimulator::run_reader_round(std::size_t r, EventLog& log, Rng& rng) {
     const double up = fault_schedule_.reader_up_after(r, rt.clock_s);
     ++rstats.crashes;
     rstats.downtime_s += up - rt.clock_s;
-    if (obs::hooks_enabled()) {
-      portal_metrics().crashes.add(1);
-      portal_metrics().downtime_s.add(up - rt.clock_s);
-      reader_hooks(r).crashes->add(1);
-    }
     rt.clock_s = up;
     rt.engine.reset_q();
     for (auto& e : rt.session_engines) e.reset_q();
@@ -271,23 +289,6 @@ void PortalSimulator::run_reader_round(std::size_t r, EventLog& log, Rng& rng) {
       ev.rssi = links[idx].rx_power;
       ev.session = session;
       log.push_back(ev);
-    }
-  }
-
-  if (obs::hooks_enabled()) {
-    PortalMetrics& m = portal_metrics();
-    const ReaderHooks& rh = reader_hooks(r);
-    m.rounds.add(1);
-    rh.rounds->add(1);
-    m.read_events.add(round.singulated.size());
-    rh.read_events->add(round.singulated.size());
-    if (fault_schedule_.jamming_loss_db(t) > 0.0) {
-      m.jammed_rounds.add(1);
-      rh.jammed_rounds->add(1);
-    }
-    if (fault_schedule_.antenna_dead(antenna)) {
-      m.dead_antenna_rounds.add(1);
-      rh.dead_antenna_rounds->add(1);
     }
   }
 
@@ -345,6 +346,7 @@ EventLog PortalSimulator::run(Rng& rng) {
 
   std::sort(log.begin(), log.end(),
             [](const ReadEvent& a, const ReadEvent& b) { return a.time_s < b.time_s; });
+  publish_pass_metrics(log);
   return log;
 }
 
@@ -391,6 +393,7 @@ EventLog PortalSimulator::run_single_round(double t_s, Rng& rng) {
   }
   std::sort(log.begin(), log.end(),
             [](const ReadEvent& a, const ReadEvent& b) { return a.time_s < b.time_s; });
+  publish_pass_metrics(log);
   return log;
 }
 

@@ -172,9 +172,13 @@ class PortalSimulator {
   /// fresh per-pass tag offsets.
   void reset_pass_state(Rng& rng);
 
+  /// Publishes the finished run's sys.portal.* metrics from stats_ and
+  /// `log` (when observability is enabled) and flushes every engine's
+  /// gen2.* tally: the round loop itself never touches the registry.
+  void publish_pass_metrics(const EventLog& log);
+
   /// Per-reader labelled registry counters ({reader="rN"} children of the
-  /// sys.portal.* families). Resolved once per simulator on first use with
-  /// hooks enabled, so the round loop never takes the registry lock.
+  /// sys.portal.* families), resolved on the first publish.
   struct ReaderHooks {
     obs::Counter* rounds = nullptr;
     obs::Counter* read_events = nullptr;
@@ -182,7 +186,6 @@ class PortalSimulator {
     obs::Counter* jammed_rounds = nullptr;
     obs::Counter* dead_antenna_rounds = nullptr;
   };
-  const ReaderHooks& reader_hooks(std::size_t r);
 
   const scene::Scene& scene_;
   PortalConfig config_;
@@ -198,7 +201,7 @@ class PortalSimulator {
   std::vector<double> pass_offset_db_;            ///< Per-tag, per-run.
   fault::FaultSchedule fault_schedule_;           ///< Sampled per run.
   PortalRunStats stats_;
-  std::vector<ReaderHooks> reader_hooks_;         ///< Lazy; see reader_hooks().
+  std::vector<ReaderHooks> reader_hooks_;         ///< Lazy; see publish_pass_metrics.
 };
 
 }  // namespace rfidsim::sys

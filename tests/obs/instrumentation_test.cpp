@@ -3,15 +3,20 @@
 // counts what it claims to count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "fault/schedule.hpp"
+#include "gen2/reliable/multi_session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliability/calibration.hpp"
 #include "reliability/estimator.hpp"
 #include "reliability/scenarios.hpp"
 #include "system/event_io.hpp"
+#include "system/portal.hpp"
 #include "system/uploader.hpp"
 #include "track/resilient_ingest.hpp"
 
@@ -124,6 +129,186 @@ TEST_F(InstrumentationTest, DisabledHooksRecordNothing) {
   (void)reliability::run_repeated(sc, 1, 7);
   EXPECT_EQ(obs::counter("gen2.rounds").value(), rounds_before);
   EXPECT_EQ(obs::counter("sys.portal.passes").value(), passes_before);
+}
+
+/// Every sample of the gen2.* and sys.portal.* counter families (labelled
+/// children included) plus the histograms' _count samples, keyed by
+/// exposition series name, read from the process-wide registry.
+using SeriesTotals = std::map<std::string, std::uint64_t>;
+
+SeriesTotals portal_series() {
+  std::istringstream in(obs::registry().exposition());
+  SeriesTotals out;
+  std::string line;
+  bool wanted_family = false;
+  bool counter_family = false;
+  while (std::getline(in, line)) {
+    if (line.starts_with("# TYPE ")) {
+      wanted_family = line.starts_with("# TYPE rfidsim_gen2_") ||
+                      line.starts_with("# TYPE rfidsim_sys_portal_");
+      counter_family = line.ends_with(" counter");
+      continue;
+    }
+    if (!wanted_family || line.starts_with("#")) continue;
+    const std::size_t space = line.rfind(' ');
+    const std::string series = line.substr(0, space);
+    if (counter_family || series.ends_with("_count")) {
+      out[series] = std::stoull(line.substr(space + 1));
+    }
+  }
+  return out;
+}
+
+/// after - before per series, dropping series that did not move.
+SeriesTotals moved(const SeriesTotals& after, const SeriesTotals& before) {
+  SeriesTotals out;
+  for (const auto& [series, value] : after) {
+    const auto it = before.find(series);
+    const std::uint64_t d = value - (it == before.end() ? 0 : it->second);
+    if (d != 0) out[series] = d;
+  }
+  return out;
+}
+
+void add_moved(SeriesTotals& totals, const std::string& series, std::uint64_t n) {
+  if (n != 0) totals[series] += n;
+}
+
+/// Two readers on two antennas, two sessions each, with every fault
+/// process on: every gen2.* / sys.portal.* family and child moves.
+Scenario redundant_faulty_portal() {
+  reliability::ObjectScenarioOptions opt;
+  opt.tag_faces = {scene::BoxFace::Front, scene::BoxFace::SideNear};
+  opt.portal.antenna_count = 2;
+  opt.portal.reader_count = 2;
+  opt.portal.strategy.mode = sys::InventoryMode::kMultiSession;
+  opt.portal.strategy.sessions = {gen2::Session::S0, gen2::Session::S2};
+  Scenario sc =
+      reliability::make_object_tracking_scenario(opt, CalibrationProfile::paper2006());
+  sc.portal.faults.reader.mtbf_s = 1.5;
+  sc.portal.faults.antenna.probability = 0.3;
+  sc.portal.faults.jamming.mean_interarrival_s = 1.0;
+  return sc;
+}
+
+// Registry totals are a pure function of the simulated passes, whichever
+// lane ran them: a sweep at 1 and at 4 threads moves every gen2.* and
+// sys.portal.* series by the same amount, and that amount is what the
+// passes' own PortalRunStats and event logs add up to.
+TEST_F(InstrumentationTest, SweepRegistryTotalsMatchRunStatsAtAnyThreadCount) {
+  const Scenario sc = redundant_faulty_portal();
+  constexpr std::size_t kReps = 12;
+  constexpr std::uint64_t kSeed = 424242;
+
+  const SeriesTotals before = portal_series();
+  (void)reliability::run_repeated_parallel(sc, kReps, kSeed, 1);
+  const SeriesTotals after_serial = portal_series();
+  (void)reliability::run_repeated_parallel(sc, kReps, kSeed, 4);
+  const SeriesTotals after_parallel = portal_series();
+  const SeriesTotals serial = moved(after_serial, before);
+  const SeriesTotals parallel = moved(after_parallel, after_serial);
+  EXPECT_EQ(serial, parallel);
+
+  // Recompute the same passes with hooks off, from the simulator's stats.
+  obs::set_enabled(false);
+  SeriesTotals expected;
+  sys::PortalSimulator sim(sc.scene, sc.portal);
+  const Rng root(kSeed);
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    Rng rng = root.fork(rep);
+    const sys::EventLog log = sim.run(rng);
+    const sys::PortalRunStats& st = sim.stats();
+    add_moved(expected, "rfidsim_sys_portal_passes", 1);
+    add_moved(expected, "rfidsim_gen2_rounds", st.rounds);
+    add_moved(expected, "rfidsim_gen2_round_duration_seconds_count", st.rounds);
+    add_moved(expected, "rfidsim_gen2_total_slots", st.total_slots);
+    add_moved(expected, "rfidsim_gen2_collision_slots", st.collision_slots);
+    add_moved(expected, "rfidsim_gen2_success_slots", st.success_slots);
+    add_moved(expected, "rfidsim_gen2_empty_slots",
+              st.total_slots - st.collision_slots - st.success_slots);
+    add_moved(expected, "rfidsim_gen2_singulations", log.size());
+    add_moved(expected, "rfidsim_sys_portal_rounds", st.rounds);
+    add_moved(expected, "rfidsim_sys_portal_read_events", log.size());
+    for (const sys::ReadEvent& ev : log) {
+      add_moved(expected,
+                "rfidsim_gen2_sessions{session=\"s" + std::to_string(ev.session) + "\"}", 1);
+      add_moved(expected,
+                "rfidsim_sys_portal_read_events{reader=\"r" +
+                    std::to_string(ev.reader_index) + "\"}",
+                1);
+    }
+    for (std::size_t r = 0; r < st.per_reader.size(); ++r) {
+      const sys::ReaderRunStats& rs = st.per_reader[r];
+      const std::string reader = "{reader=\"r" + std::to_string(r) + "\"}";
+      add_moved(expected, "rfidsim_sys_portal_rounds" + reader, rs.rounds);
+      for (const auto& [family, n] :
+           {std::pair{"rfidsim_sys_portal_reader_crashes", rs.crashes},
+            std::pair{"rfidsim_sys_portal_jammed_rounds", rs.jammed_rounds},
+            std::pair{"rfidsim_sys_portal_dead_antenna_rounds", rs.dead_antenna_rounds}}) {
+        add_moved(expected, family, n);
+        add_moved(expected, family + reader, n);
+      }
+    }
+  }
+  if (!kHooksLive) {
+    EXPECT_TRUE(serial.empty());
+    return;
+  }
+  // The scenario must exercise every family the portal publishes.
+  for (const char* family :
+       {"rfidsim_sys_portal_reader_crashes", "rfidsim_sys_portal_jammed_rounds",
+        "rfidsim_sys_portal_dead_antenna_rounds", "rfidsim_gen2_sessions{session=\"s2\"}",
+        "rfidsim_sys_portal_rounds{reader=\"r1\"}"}) {
+    EXPECT_TRUE(expected.contains(family)) << family;
+  }
+  EXPECT_EQ(serial, expected);
+}
+
+// MultiSessionInventory drives its engines directly (no portal): each run
+// flushes them, crediting every session's singulations to its own
+// gen2.sessions{session=...} child.
+TEST_F(InstrumentationTest, MultiSessionRunFeedsPerSessionCounters) {
+  gen2::reliable::MultiSessionConfig cfg;
+  cfg.sessions = {gen2::Session::S1, gen2::Session::S3};
+  cfg.rounds_per_session = 4;
+  gen2::reliable::MultiSessionInventory inv(cfg);
+  std::vector<gen2::TagState> states(9);
+  std::vector<gen2::TagLink> links(9);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    states[i].set_powered(true, 0.0);
+    links[i].powered = true;
+    links[i].reply_decode_probability = 0.8;
+    links[i].rx_power = DbmPower(-55.0);
+  }
+  Rng rng(9);
+  const SeriesTotals before = portal_series();
+  SeriesTotals expected;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    const gen2::reliable::MultiSessionResult r =
+        inv.run(states, links, 0.5 * sweep, rng);
+    for (const gen2::reliable::SessionPassResult& pass : r.per_session) {
+      const std::string session =
+          "{session=\"s" + std::to_string(static_cast<int>(pass.session)) + "\"}";
+      add_moved(expected, "rfidsim_gen2_sessions" + session, pass.singulations);
+      add_moved(expected, "rfidsim_gen2_singulations", pass.singulations);
+      add_moved(expected, "rfidsim_gen2_rounds", pass.rounds);
+      add_moved(expected, "rfidsim_gen2_round_duration_seconds_count", pass.rounds);
+    }
+  }
+  const SeriesTotals got = moved(portal_series(), before);
+  if (!kHooksLive) {
+    EXPECT_TRUE(got.empty());
+    return;
+  }
+  ASSERT_TRUE(expected.contains("rfidsim_gen2_sessions{session=\"s1\"}"));
+  ASSERT_TRUE(expected.contains("rfidsim_gen2_sessions{session=\"s3\"}"));
+  for (const auto& [series, n] : expected) {
+    const auto it = got.find(series);
+    EXPECT_EQ(it == got.end() ? 0 : it->second, n) << series;
+  }
+  // Sessions this inventory does not run stay untouched.
+  EXPECT_FALSE(got.contains("rfidsim_gen2_sessions{session=\"s0\"}"));
+  EXPECT_FALSE(got.contains("rfidsim_gen2_sessions{session=\"s2\"}"));
 }
 
 // Satellite fix for the lenient-parse blind spot: dropped rows now land in

@@ -65,6 +65,63 @@ TEST(HistogramTest, BucketAssignmentUsesInclusiveUpperBounds) {
   EXPECT_DOUBLE_EQ(hist.sum(), 0.5 + 1.0 + 1.001 + 8.0 + 9.0);
 }
 
+// Golden for the bulk-add API the gen2 tally publishes through: counts
+// pre-bucketed with bucket_index() and merged in one add_bucketed() call
+// must leave exactly the bucket counts and count() that observing the same
+// values one by one leaves. The sum goes through a different association
+// (the caller's partial sum, then one add), so it may differ in the last
+// bits for general values; dyadic values sum exactly either way.
+TEST(HistogramTest, BulkAddMatchesObservingValueByValue) {
+  const HistogramSpec spec{.first_upper_bound = 1e-3, .growth = 2.0, .buckets = 12};
+  const std::vector<double> values = {0.0,    1e-4,  1e-3,   0.0011, 0.002, 0.0035, 0.004,
+                                      0.0041, 0.031, 0.0625, 0.5,    1.0,   2.049,
+                                      7.5,    0.004, 0.004,  1e-3,   0.013, 0.26};
+  Histogram one_by_one(spec);
+  Histogram bulk(spec);
+  std::vector<std::uint64_t> counts(bulk.edges().size() + 1, 0);
+  double sum = 0.0;
+  for (const double v : values) {
+    one_by_one.observe(v);
+    ++counts[bulk.bucket_index(v)];
+    sum += v;
+  }
+  bulk.add_bucketed(counts, sum);
+  for (std::size_t i = 0; i <= spec.buckets; ++i) {
+    EXPECT_EQ(bulk.bucket_count(i), one_by_one.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(bulk.bucket_count(spec.buckets), 2u);  // 2.049 and 7.5 overflow.
+  EXPECT_EQ(bulk.count(), values.size());
+  EXPECT_EQ(bulk.count(), one_by_one.count());
+  EXPECT_DOUBLE_EQ(bulk.sum(), one_by_one.sum());
+
+  // A second merge accumulates; dyadic values sum exactly in any order.
+  Histogram twice(spec);
+  Histogram observed(spec);
+  std::vector<std::uint64_t> dyadic(twice.edges().size() + 1, 0);
+  for (const double v : {0.25, 0.5, 0.125, 4.0}) {
+    observed.observe(v);
+    observed.observe(v);
+    ++dyadic[twice.bucket_index(v)];
+  }
+  twice.add_bucketed(dyadic, 4.875);
+  twice.add_bucketed(dyadic, 4.875);
+  for (std::size_t i = 0; i <= spec.buckets; ++i) {
+    EXPECT_EQ(twice.bucket_count(i), observed.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(twice.count(), 8u);
+  EXPECT_EQ(twice.sum(), observed.sum());
+}
+
+TEST(HistogramTest, BulkAddRejectsAMismatchedLayoutAndIgnoresEmptyMerges) {
+  Histogram h({.first_upper_bound = 1.0, .growth = 2.0, .buckets = 4});
+  const std::vector<std::uint64_t> too_short(4, 1);
+  EXPECT_THROW(h.add_bucketed(too_short, 1.0), ConfigError);
+  const std::vector<std::uint64_t> empty(5, 0);
+  h.add_bucketed(empty, 0.0);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0.0);
+}
+
 TEST(HistogramTest, EmptyHistogramIsAllZero) {
   const Histogram h({.first_upper_bound = 1.0, .growth = 2.0, .buckets = 3});
   EXPECT_EQ(h.count(), 0u);

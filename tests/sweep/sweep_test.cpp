@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/thread_pool.hpp"
 
@@ -56,6 +58,31 @@ TEST(ThreadPoolTest, DestructorDrainsPendingWork) {
     }
   }
   EXPECT_EQ(counter.load(), 64);
+}
+
+// Lane metrics are registered by the constructor, on the constructing
+// thread, never lazily by a worker (a worker registering during static
+// teardown could find the registry already destroyed). So a pool built
+// with hooks on has every lane's gauges before any task has run.
+TEST(ThreadPoolTest, LaneMetricsAreRegisteredBeforeTheFirstTask) {
+  const bool saved = obs::enabled();
+  obs::set_enabled(true);
+  {
+    const ThreadPool pool(3);
+    const std::string exposition = obs::registry().exposition();
+#ifdef RFIDSIM_OBS_DISABLED
+    EXPECT_EQ(exposition.find("lane_busy_seconds"), std::string::npos);
+#else
+    for (const char* lane : {"0", "1", "2"}) {
+      for (const char* family : {"busy", "idle", "queue_wait"}) {
+        const std::string series = std::string("rfidsim_sweep_pool_lane_") + family +
+                                   "_seconds{lane=\"" + lane + "\"}";
+        EXPECT_NE(exposition.find(series), std::string::npos) << series;
+      }
+    }
+#endif
+  }
+  obs::set_enabled(saved);
 }
 
 TEST(CellRngTest, IsAPureFunctionOfSeedAndCell) {
