@@ -1,5 +1,6 @@
 // Google-benchmark micro-benchmarks for the simulator's hot paths: the
-// per-round link evaluation and the Gen 2 inventory engine. These guard
+// per-round link evaluation, the Gen 2 inventory engine, and the wire
+// framing every uploaded read crosses. These guard
 // against performance regressions that would make the Monte Carlo
 // experiment sweeps (hundreds of passes per table) painful.
 #include <benchmark/benchmark.h>
@@ -22,6 +23,8 @@
 #include "reliability/scenarios.hpp"
 #include "scene/path_evaluator.hpp"
 #include "system/portal.hpp"
+#include "wire/batch_codec.hpp"
+#include "wire/wire.hpp"
 
 namespace {
 
@@ -108,6 +111,48 @@ void BM_PathEvaluationCached(benchmark::State& state) {
   obs::set_enabled(saved);
 }
 BENCHMARK(BM_PathEvaluationCached)->Arg(0)->Arg(1)->ArgNames({"obs"});
+
+/// CRC-16 over a frame-sized buffer: 64 B, a typical 32-event batch frame
+/// (584 B), and 1 MiB (checkpoint-shard scale).
+void BM_Crc16(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  Rng rng(16);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::crc16(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc16)->Arg(64)->Arg(584)->Arg(1 << 20);
+
+/// One 32-event upload batch across the wire: encode the frame, find it
+/// with next_frame (CRC check included), decode the payload.
+void BM_EventBatchFrameRoundTrip(benchmark::State& state) {
+  Rng rng(32);
+  wire::EventBatch batch;
+  batch.facility = 3;
+  batch.sent_time_s = 120.0;
+  double t = 119.0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    sys::ReadEvent ev;
+    ev.tag = scene::TagId{0x3000'0000'0000'0000ULL + static_cast<std::uint64_t>(rng.uniform_int(0, 21))};
+    t += rng.uniform(0.0, 0.03);
+    ev.time_s = t;
+    ev.reader_index = static_cast<std::size_t>(rng.uniform_int(0, 1));
+    ev.antenna_index = static_cast<std::size_t>(rng.uniform_int(0, 1));
+    ev.rssi = DbmPower{-60.0 + rng.gaussian(0.0, 4.0)};
+    batch.events.push_back(ev);
+  }
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> frame = wire::encode_event_batch_frame(batch);
+    const wire::DecodeResult res = wire::next_frame(frame, 0);
+    std::optional<wire::EventBatch> decoded = wire::decode_event_batch(res.frame);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch.events.size()));
+}
+BENCHMARK(BM_EventBatchFrameRoundTrip);
 
 /// Shared A/B overhead gate: finely interleaved slices in a
 /// deterministically shuffled order, compared by per-mode medians, with

@@ -1,13 +1,11 @@
 #include "fleet/feed.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
-#include <algorithm>
-#include <limits>
-
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 
@@ -15,10 +13,16 @@ namespace rfidsim::fleet {
 
 namespace {
 
+/// Log-scale buckets from 1 ms (a clean serial hop) out past retry-backoff
+/// territory, shared by both per-facility latency histograms.
+constexpr obs::HistogramSpec kLatencySpec{1e-3, 4.0, 16};
+
+}  // namespace
+
 /// Feed registry hooks: per-pass aggregates across all feeds, plus
 /// per-facility wire-transport counters (the facility label is what lets
 /// an operator see *which* uplink is rotting).
-void record_feed_metrics(const FeedPassResult& result, FacilityId facility) {
+void FacilityFeed::publish_pass_metrics(const FeedPassResult& result) {
   static const struct Metrics {
     obs::Counter& passes = obs::counter("fleet.feed.passes");
     obs::Counter& batches = obs::counter("fleet.feed.batches");
@@ -32,58 +36,71 @@ void record_feed_metrics(const FeedPassResult& result, FacilityId facility) {
   m.late.add(result.late_batches);
   m.lost.add(result.lost_batches);
 
-  const std::string label = std::to_string(facility);
-  obs::counter("fleet.feed.wire_frames", {{"facility", label}})
-      .add(result.frames_sent);
-  obs::counter("fleet.feed.wire_corrupt_frames", {{"facility", label}})
-      .add(result.corrupt_frames);
-  obs::counter("fleet.feed.wire_recovered_batches", {{"facility", label}})
-      .add(result.recovered_batches);
-  obs::counter("fleet.feed.wire_quarantined_batches", {{"facility", label}})
-      .add(result.quarantined_batches);
-  obs::counter("fleet.feed.stale_batches", {{"facility", label}})
-      .add(result.stale_batches);
+  if (hooks_.wire_frames == nullptr) {
+    const std::string label = std::to_string(config_.facility);
+    hooks_.wire_frames = &obs::counter("fleet.feed.wire_frames", {{"facility", label}});
+    hooks_.wire_corrupt_frames =
+        &obs::counter("fleet.feed.wire_corrupt_frames", {{"facility", label}});
+    hooks_.wire_recovered_batches =
+        &obs::counter("fleet.feed.wire_recovered_batches", {{"facility", label}});
+    hooks_.wire_quarantined_batches =
+        &obs::counter("fleet.feed.wire_quarantined_batches", {{"facility", label}});
+    hooks_.stale_batches = &obs::counter("fleet.feed.stale_batches", {{"facility", label}});
+  }
+  hooks_.wire_frames->add(result.frames_sent);
+  hooks_.wire_corrupt_frames->add(result.corrupt_frames);
+  hooks_.wire_recovered_batches->add(result.recovered_batches);
+  hooks_.wire_quarantined_batches->add(result.quarantined_batches);
+  hooks_.stale_batches->add(result.stale_batches);
 }
 
-/// Watermark/staleness gauges plus the event-time -> store-visible lag
-/// histogram, published after a merge. Labelled per facility so one rotting
-/// uplink's lag does not hide inside a fleet-wide aggregate.
-void record_watermark_metrics(const FeedPassResult& result, FacilityId facility,
-                              double watermark_s, double age_s) {
-  const std::string label = std::to_string(facility);
-  obs::registry().gauge("fleet.watermark.seconds", {{"facility", label}})
-      .set(watermark_s);
-  if (age_s < std::numeric_limits<double>::infinity()) {
-    obs::registry().gauge("fleet.watermark.age_seconds", {{"facility", label}})
-        .set(age_s);
+/// Published after a merge, labelled per facility so one rotting uplink's
+/// lag does not hide inside a fleet-wide aggregate:
+///   - the watermark and its age;
+///   - visibility_lag_seconds: backend arrival minus event time per event,
+///     i.e. how long a sighting was in flight before a query could see it.
+///     Tallied locally and published with one bulk add;
+///   - visibility_latency_seconds: end-to-end batch latency, uploader send
+///     -> watermark-visible. A batch becomes queryable when its pass's
+///     merge completes, which in simulated time is the later of its backend
+///     arrival and the pass window close (the watermark only advances at
+///     pass granularity). Observed per batch — the p50/p95/p99 the
+///     exposition derives are what BENCH_FLEET regresses on.
+void FacilityFeed::publish_ingest_metrics(const FeedPassResult& result,
+                                          double window_end_s) {
+  if (hooks_.watermark == nullptr) {
+    const std::string label = std::to_string(config_.facility);
+    hooks_.watermark = &obs::gauge("fleet.watermark.seconds", {{"facility", label}});
+    hooks_.visibility_lag = &obs::registry().histogram(
+        "fleet.feed.visibility_lag_seconds", {{"facility", label}}, kLatencySpec);
+    hooks_.visibility_latency = &obs::registry().histogram(
+        "fleet.batch.visibility_latency_seconds", {{"facility", label}}, kLatencySpec);
   }
-  // Lag = backend arrival minus event time: how long a sighting was in
-  // flight before a query could see it. Buckets start at 1ms (clean serial
-  // hop) and span out past retry-backoff territory.
-  obs::Histogram& lag = obs::registry().histogram(
-      "fleet.feed.visibility_lag_seconds", {{"facility", label}},
-      obs::HistogramSpec{1e-3, 4.0, 16});
+  hooks_.watermark->set(watermark_s_);
+  const double age_s = watermark_age_s();
+  if (age_s < std::numeric_limits<double>::infinity()) {
+    if (hooks_.watermark_age == nullptr) {
+      hooks_.watermark_age = &obs::gauge(
+          "fleet.watermark.age_seconds", {{"facility", std::to_string(config_.facility)}});
+    }
+    hooks_.watermark_age->set(age_s);
+  }
+
+  obs::Histogram& lag = *hooks_.visibility_lag;
+  lag_buckets_.assign(lag.edges().size() + 1, 0);
+  double lag_sum = 0.0;
   for (const FacilityBatch& batch : result.batches) {
     for (const sys::ReadEvent& ev : batch.events) {
-      lag.observe(batch.arrival_time_s - ev.time_s);
+      const double x = batch.arrival_time_s - ev.time_s;
+      ++lag_buckets_[lag.bucket_index(x)];
+      lag_sum += x;
     }
   }
-}
+  lag.add_bucketed(lag_buckets_, lag_sum);
 
-/// End-to-end batch latency: uploader send -> watermark-visible. A batch
-/// becomes queryable when its pass's merge completes, which in simulated
-/// time is the later of its backend arrival and the pass window close (the
-/// watermark only advances at pass granularity). Observed per batch — the
-/// p50/p95/p99 the exposition derives are what BENCH_FLEET regresses on.
-void record_visibility_metrics(const FeedPassResult& result, FacilityId facility,
-                               double window_end_s) {
-  const std::string label = std::to_string(facility);
-  obs::Histogram& latency = obs::registry().histogram(
-      "fleet.batch.visibility_latency_seconds", {{"facility", label}},
-      obs::HistogramSpec{1e-3, 4.0, 16});
   for (const FacilityBatch& batch : result.batches) {
     const double visible_s = std::max(window_end_s, batch.arrival_time_s);
-    latency.observe(visible_s - batch.sent_time_s);
+    hooks_.visibility_latency->observe(visible_s - batch.sent_time_s);
     if (batch.batch_id != 0) {
       obs::provenance_log().record({batch.batch_id, obs::BatchHop::kVisible,
                                     batch.facility, batch.events.size(),
@@ -91,8 +108,6 @@ void record_visibility_metrics(const FeedPassResult& result, FacilityId facility
     }
   }
 }
-
-}  // namespace
 
 FacilityFeed::FacilityFeed(FeedConfig config)
     : config_(std::move(config)),
@@ -206,7 +221,7 @@ FeedPassResult FacilityFeed::process_pass(const sys::EventLog& raw,
   totals_.quarantined_batches += result.quarantined_batches;
 
   result.watermark_s = watermark_s_;
-  if (hooked) record_feed_metrics(result, config_.facility);
+  if (hooked) publish_pass_metrics(result);
   return result;
 }
 
@@ -223,11 +238,7 @@ FeedPassResult FacilityFeed::ingest_pass(TrackingStore& store,
   result.watermark_s = watermark_s_;
   monitor_.observe_watermark(
       obs::WatermarkObservation{watermark_s_, window_end_s});
-  if (obs::hooks_enabled()) {
-    record_watermark_metrics(result, config_.facility, watermark_s_,
-                             watermark_age_s());
-    record_visibility_metrics(result, config_.facility, window_end_s);
-  }
+  if (obs::hooks_enabled()) publish_ingest_metrics(result, window_end_s);
   return result;
 }
 

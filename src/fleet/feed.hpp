@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -43,6 +44,7 @@
 #include "fault/wire_corruptor.hpp"
 #include "fleet/query.hpp"
 #include "fleet/store.hpp"
+#include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "system/uploader.hpp"
 #include "track/resilient_ingest.hpp"
@@ -154,6 +156,24 @@ class FacilityFeed {
   const FeedConfig& config() const { return config_; }
 
  private:
+  /// This facility's {facility="N"} registry children, each resolved on
+  /// its first publish, so a series exists only once something was
+  /// published to it (the watermark age only once it is finite).
+  struct Hooks {
+    obs::Counter* wire_frames = nullptr;
+    obs::Counter* wire_corrupt_frames = nullptr;
+    obs::Counter* wire_recovered_batches = nullptr;
+    obs::Counter* wire_quarantined_batches = nullptr;
+    obs::Counter* stale_batches = nullptr;
+    obs::Gauge* watermark = nullptr;
+    obs::Gauge* watermark_age = nullptr;
+    obs::Histogram* visibility_lag = nullptr;
+    obs::Histogram* visibility_latency = nullptr;
+  };
+
+  void publish_pass_metrics(const FeedPassResult& result);
+  void publish_ingest_metrics(const FeedPassResult& result, double window_end_s);
+
   FeedConfig config_;
   sys::EventUploader uploader_;
   fault::WireCorruptor corruptor_;
@@ -163,6 +183,8 @@ class FacilityFeed {
   FeedTotals totals_;
   double watermark_s_ = -1.0;
   double last_window_end_s_ = 0.0;
+  Hooks hooks_;
+  std::vector<std::uint64_t> lag_buckets_;  ///< Per-pass lag tally scratch.
 };
 
 }  // namespace rfidsim::fleet

@@ -228,16 +228,26 @@ void ReliabilityMonitor::observe_pass(const PassObservation& obs) {
   if (hooks_enabled()) publish_metrics();
 }
 
-void ReliabilityMonitor::publish_metrics() const {
-  obs::gauge("obs.monitor.observed_rc").set(observed_rc());
-  obs::gauge("obs.monitor.predicted_rc").set(predicted_rc());
-  char reader_label[16];
-  for (std::size_t r = 0; r < readers_.size(); ++r) {
+void ReliabilityMonitor::publish_metrics() {
+  // Unlabelled, so every monitor in the process writes the same two
+  // gauges: last writer wins (DESIGN.md section 7).
+  static const struct Metrics {
+    Gauge& observed_rc = obs::gauge("obs.monitor.observed_rc");
+    Gauge& predicted_rc = obs::gauge("obs.monitor.predicted_rc");
+  } m;
+  m.observed_rc.set(observed_rc());
+  m.predicted_rc.set(predicted_rc());
+  char reader_label[24];
+  for (std::size_t r = reader_gauges_.size(); r < readers_.size(); ++r) {
     std::snprintf(reader_label, sizeof reader_label, "r%zu", r);
-    obs::gauge("obs.monitor.reader_read_rate", {{"reader", reader_label}})
-        .set(readers_[r].seen.rate());
-    obs::gauge("obs.monitor.reader_cusum", {{"reader", reader_label}})
-        .set(readers_[r].cusum.value());
+    reader_gauges_.push_back(ReaderGauges{
+        .read_rate = &obs::gauge("obs.monitor.reader_read_rate", {{"reader", reader_label}}),
+        .cusum = &obs::gauge("obs.monitor.reader_cusum", {{"reader", reader_label}}),
+    });
+  }
+  for (std::size_t r = 0; r < readers_.size(); ++r) {
+    reader_gauges_[r].read_rate->set(readers_[r].seen.rate());
+    reader_gauges_[r].cusum->set(readers_[r].cusum.value());
   }
 }
 
@@ -317,12 +327,18 @@ void ReliabilityMonitor::observe_transport(const TransportObservation& obs) {
   }
 
   if (hooks_enabled()) {
-    obs::counter("obs.monitor.wire_frames").add(obs.frames);
-    obs::counter("obs.monitor.wire_corrupt_frames").add(obs.corrupt_frames);
-    obs::counter("obs.monitor.wire_recovered_batches").add(obs.recovered_batches);
-    obs::counter("obs.monitor.wire_quarantined_batches")
-        .add(obs.quarantined_batches);
-    obs::counter("obs.monitor.stale_batches").add(obs.stale_batches);
+    static const struct Metrics {
+      Counter& frames = obs::counter("obs.monitor.wire_frames");
+      Counter& corrupt_frames = obs::counter("obs.monitor.wire_corrupt_frames");
+      Counter& recovered = obs::counter("obs.monitor.wire_recovered_batches");
+      Counter& quarantined = obs::counter("obs.monitor.wire_quarantined_batches");
+      Counter& stale = obs::counter("obs.monitor.stale_batches");
+    } m;
+    m.frames.add(obs.frames);
+    m.corrupt_frames.add(obs.corrupt_frames);
+    m.recovered.add(obs.recovered_batches);
+    m.quarantined.add(obs.quarantined_batches);
+    m.stale.add(obs.stale_batches);
   }
 }
 
@@ -353,9 +369,12 @@ void ReliabilityMonitor::observe_watermark(const WatermarkObservation& obs) {
   }
 
   if (hooks_enabled()) {
-    obs::gauge("obs.monitor.watermark_seconds").set(watermark_s_);
-    obs::gauge("obs.monitor.watermark_stall_streak")
-        .set(static_cast<double>(watermark_streak_));
+    static const struct Metrics {
+      Gauge& watermark = obs::gauge("obs.monitor.watermark_seconds");
+      Gauge& stall_streak = obs::gauge("obs.monitor.watermark_stall_streak");
+    } m;
+    m.watermark.set(watermark_s_);
+    m.stall_streak.set(static_cast<double>(watermark_streak_));
   }
 }
 

@@ -312,7 +312,14 @@ class ReliabilityMonitor {
 
   void raise(AlertType type, std::uint64_t pass, int reader, double value,
              double threshold, const char* detector, double sim_time_s);
-  void publish_metrics() const;
+  void publish_metrics();
+
+  /// {reader="rN"} registry gauges, resolved on the first publish that
+  /// sees reader N (the roster size is fixed once the first pass lands).
+  struct ReaderGauges {
+    Gauge* read_rate = nullptr;
+    Gauge* cusum = nullptr;
+  };
 
   MonitorConfig config_;
   StructuredLog* log_ = nullptr;
@@ -329,6 +336,7 @@ class ReliabilityMonitor {
   bool wire_corruption_latched_ = false;
   bool stale_latched_ = false;
   bool watermark_latched_ = false;
+  std::vector<ReaderGauges> reader_gauges_;
 };
 
 }  // namespace rfidsim::obs

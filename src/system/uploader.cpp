@@ -180,6 +180,7 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
   std::size_t giveups_retry = 0, giveups_nak = 0;
   const bool channel_dirty = corruptor != nullptr && !corruptor->identity();
   std::vector<DeliveredBatch> delivered;
+  std::vector<std::uint8_t> damaged;  // Dirty channel: the received copy.
   double channel_free_s = -std::numeric_limits<double>::infinity();
 
   for (std::size_t begin = 0; begin < log.size(); begin += config_.batch_size) {
@@ -245,10 +246,9 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
           waited_s += wait;
         }
         // Clean channel: decode the canonical frame without copying.
-        std::vector<std::uint8_t> damaged;
         const std::vector<std::uint8_t>* received_bytes = &frame;
         if (channel_dirty) {
-          damaged = frame;
+          damaged.assign(frame.begin(), frame.end());
           corruptor->corrupt_frame(damaged, rng);
           received_bytes = &damaged;
         }
@@ -343,14 +343,17 @@ std::vector<DeliveredBatch> EventUploader::upload_wire(
     m.events_delivered.add(stats_.events_delivered - before.events_delivered);
     m.events_lost.add(stats_.events_lost - before.events_lost);
     m.backoff_s.add(stats_.backoff_delay_s - before.backoff_delay_s);
-    obs::counter("sys.uploader.wire_frames").add(wire_stats_.frames_sent -
-                                                 wire_before.frames_sent);
-    obs::counter("sys.uploader.wire_corrupt_frames")
-        .add(wire_stats_.corrupt_frames - wire_before.corrupt_frames);
-    obs::counter("sys.uploader.wire_retransmits")
-        .add(wire_stats_.nak_retransmits - wire_before.nak_retransmits);
-    obs::counter("sys.uploader.wire_quarantined")
-        .add(wire_stats_.batches_quarantined - wire_before.batches_quarantined);
+    static const struct WireMetrics {
+      obs::Counter& frames = obs::counter("sys.uploader.wire_frames");
+      obs::Counter& corrupt_frames = obs::counter("sys.uploader.wire_corrupt_frames");
+      obs::Counter& retransmits = obs::counter("sys.uploader.wire_retransmits");
+      obs::Counter& quarantined = obs::counter("sys.uploader.wire_quarantined");
+    } w;
+    w.frames.add(wire_stats_.frames_sent - wire_before.frames_sent);
+    w.corrupt_frames.add(wire_stats_.corrupt_frames - wire_before.corrupt_frames);
+    w.retransmits.add(wire_stats_.nak_retransmits - wire_before.nak_retransmits);
+    w.quarantined.add(wire_stats_.batches_quarantined -
+                      wire_before.batches_quarantined);
   }
   return delivered;
 }

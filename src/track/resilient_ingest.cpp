@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -122,15 +120,26 @@ IngestReport ResilientIngest::ingest(const sys::EventLog& raw, double window_beg
                    [](const sys::ReadEvent& a, const sys::ReadEvent& b) {
                      return a.time_s < b.time_s;
                    });
-  std::map<StreamKey, double> last_accepted;
+  // Last accepted time per stream, kept sorted by key: a pass has a few
+  // dozen streams, where a flat vector beats a node per key.
+  std::vector<std::pair<StreamKey, double>> last_accepted;
+  report.events.reserve(valid.size());
   for (const sys::ReadEvent& ev : valid) {
     const StreamKey key{ev.tag.value, ev.reader_index, ev.antenna_index};
-    const auto it = last_accepted.find(key);
-    if (it != last_accepted.end() && ev.time_s - it->second <= config_.dedup_window_s) {
-      ++report.duplicates;
-      continue;
+    auto it = std::lower_bound(
+        last_accepted.begin(), last_accepted.end(), key,
+        [](const std::pair<StreamKey, double>& entry, const StreamKey& k) {
+          return entry.first < k;
+        });
+    if (it != last_accepted.end() && it->first == key) {
+      if (ev.time_s - it->second <= config_.dedup_window_s) {
+        ++report.duplicates;
+        continue;
+      }
+      it->second = ev.time_s;
+    } else {
+      last_accepted.insert(it, {key, ev.time_s});
     }
-    last_accepted[key] = ev.time_s;
     report.events.push_back(ev);
   }
   report.accepted = report.events.size();
@@ -193,19 +202,27 @@ obs::PassObservation monitor_observation(const IngestReport& report,
   out.window_end_s = window_end_s;
   out.objects_total = objects_total;
   out.readers.resize(reader_count);
-  std::set<std::uint64_t> all;
-  std::vector<std::set<std::uint64_t>> per_reader(reader_count);
+  // Distinct tags overall and per reader, counted by sort + unique.
+  std::vector<std::uint64_t> all;
+  std::vector<std::pair<std::size_t, std::uint64_t>> seen;  // (reader, tag)
+  all.reserve(report.events.size());
+  seen.reserve(report.events.size());
   for (const sys::ReadEvent& ev : report.events) {
-    all.insert(ev.tag.value);
+    all.push_back(ev.tag.value);
     if (ev.reader_index < reader_count) {
-      per_reader[ev.reader_index].insert(ev.tag.value);
+      seen.emplace_back(ev.reader_index, ev.tag.value);
       ++out.readers[ev.reader_index].rounds;
     }
   }
-  out.objects_identified = std::min<std::uint64_t>(all.size(), objects_total);
-  for (std::size_t r = 0; r < reader_count; ++r) {
-    out.readers[r].objects_seen =
-        std::min<std::uint64_t>(per_reader[r].size(), objects_total);
+  std::sort(all.begin(), all.end());
+  const auto distinct = std::unique(all.begin(), all.end()) - all.begin();
+  out.objects_identified =
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(distinct), objects_total);
+  std::sort(seen.begin(), seen.end());
+  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+  for (const auto& entry : seen) ++out.readers[entry.first].objects_seen;
+  for (obs::ReaderPassObservation& r : out.readers) {
+    r.objects_seen = std::min<std::uint64_t>(r.objects_seen, objects_total);
   }
   return out;
 }

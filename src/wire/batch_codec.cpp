@@ -20,6 +20,68 @@ double double_of(std::uint64_t u) {
   return x;
 }
 
+/// Longest LEB128 encoding of a 64-bit value.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Payload bytes encode_payload may write for `events` events: facility,
+/// the two raw times, the dictionary and event counts, at most one
+/// dictionary entry per event, and five varints per event.
+std::size_t max_payload_bytes(std::size_t events) {
+  return 3 * kMaxVarintBytes + 16 + events * 6 * kMaxVarintBytes;
+}
+
+std::uint8_t* write_varint(std::uint8_t* p, std::uint64_t value) {
+  while (value >= 0x80u) {
+    *p++ = static_cast<std::uint8_t>(value) | 0x80u;
+    value >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(value);
+  return p;
+}
+
+std::uint8_t* write_u64le(std::uint8_t* p, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(value >> (8 * i));
+  return p;
+}
+
+/// Writes the payload at `p`, which must have max_payload_bytes room;
+/// returns one past the last byte written.
+std::uint8_t* encode_payload(const EventBatch& batch, std::uint8_t* p) {
+  p = write_varint(p, batch.facility);
+  p = write_u64le(p, bits_of(batch.sent_time_s));
+  p = write_u64le(p, bits_of(batch.arrival_time_s));
+
+  // EPC dictionary: distinct tag ids, ascending, delta-encoded.
+  std::vector<std::uint64_t> dict;
+  dict.reserve(batch.events.size());
+  for (const sys::ReadEvent& ev : batch.events) dict.push_back(ev.tag.value);
+  std::sort(dict.begin(), dict.end());
+  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+  p = write_varint(p, dict.size());
+  std::uint64_t prev_epc = 0;
+  for (std::size_t i = 0; i < dict.size(); ++i) {
+    p = write_varint(p, i == 0 ? dict[0] : dict[i] - prev_epc);
+    prev_epc = dict[i];
+  }
+
+  p = write_varint(p, batch.events.size());
+  std::uint64_t prev_time_bits = bits_of(batch.sent_time_s);
+  std::uint64_t prev_rssi_bits = 0;
+  for (const sys::ReadEvent& ev : batch.events) {
+    const auto it = std::lower_bound(dict.begin(), dict.end(), ev.tag.value);
+    p = write_varint(p, static_cast<std::uint64_t>(it - dict.begin()));
+    p = write_varint(p, ev.reader_index);
+    p = write_varint(p, ev.antenna_index);
+    const std::uint64_t time_bits = bits_of(ev.time_s);
+    const std::uint64_t rssi_bits = bits_of(ev.rssi.value());
+    p = write_varint(p, zigzag(static_cast<std::int64_t>(time_bits - prev_time_bits)));
+    p = write_varint(p, zigzag(static_cast<std::int64_t>(rssi_bits - prev_rssi_bits)));
+    prev_time_bits = time_bits;
+    prev_rssi_bits = rssi_bits;
+  }
+  return p;
+}
+
 }  // namespace
 
 bool operator==(const EventBatch& a, const EventBatch& b) {
@@ -41,45 +103,22 @@ bool operator==(const EventBatch& a, const EventBatch& b) {
 }
 
 std::vector<std::uint8_t> encode_event_batch(const EventBatch& batch) {
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + batch.events.size() * 12);
-  put_varint(out, batch.facility);
-  put_u64le(out, bits_of(batch.sent_time_s));
-  put_u64le(out, bits_of(batch.arrival_time_s));
-
-  // EPC dictionary: distinct tag ids, ascending, delta-encoded.
-  std::vector<std::uint64_t> dict;
-  dict.reserve(batch.events.size());
-  for (const sys::ReadEvent& ev : batch.events) dict.push_back(ev.tag.value);
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  put_varint(out, dict.size());
-  std::uint64_t prev_epc = 0;
-  for (std::size_t i = 0; i < dict.size(); ++i) {
-    put_varint(out, i == 0 ? dict[0] : dict[i] - prev_epc);
-    prev_epc = dict[i];
-  }
-
-  put_varint(out, batch.events.size());
-  std::uint64_t prev_time_bits = bits_of(batch.sent_time_s);
-  std::uint64_t prev_rssi_bits = 0;
-  for (const sys::ReadEvent& ev : batch.events) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(), ev.tag.value);
-    put_varint(out, static_cast<std::uint64_t>(it - dict.begin()));
-    put_varint(out, ev.reader_index);
-    put_varint(out, ev.antenna_index);
-    const std::uint64_t time_bits = bits_of(ev.time_s);
-    const std::uint64_t rssi_bits = bits_of(ev.rssi.value());
-    put_varint_signed(out, static_cast<std::int64_t>(time_bits - prev_time_bits));
-    put_varint_signed(out, static_cast<std::int64_t>(rssi_bits - prev_rssi_bits));
-    prev_time_bits = time_bits;
-    prev_rssi_bits = rssi_bits;
-  }
+  std::vector<std::uint8_t> out(max_payload_bytes(batch.events.size()));
+  const std::uint8_t* end = encode_payload(batch, out.data());
+  out.resize(static_cast<std::size_t>(end - out.data()));
   return out;
 }
 
 std::vector<std::uint8_t> encode_event_batch_frame(const EventBatch& batch) {
-  return make_frame(OpCode::kEventBatch, encode_event_batch(batch));
+  // Envelope space, the payload written in place, then the CRC trailer:
+  // one buffer, no payload copy.
+  std::vector<std::uint8_t> out(kFrameOverhead + max_payload_bytes(batch.events.size()));
+  std::uint8_t* payload = out.data() + kFrameHeaderBytes;
+  const std::size_t payload_size =
+      static_cast<std::size_t>(encode_payload(batch, payload) - payload);
+  seal_frame(out.data(), payload_size, OpCode::kEventBatch);
+  out.resize(payload_size + kFrameOverhead);
+  return out;
 }
 
 std::optional<EventBatch> decode_event_batch(const std::uint8_t* payload,

@@ -1,6 +1,8 @@
 #include "wire/wire.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -8,22 +10,32 @@ namespace rfidsim::wire {
 
 namespace {
 
-/// CRC-16-CCITT table for poly 0x1021, generated once at startup.
-const std::array<std::uint16_t, 256>& crc_table() {
-  static const std::array<std::uint16_t, 256> table = [] {
-    std::array<std::uint16_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint16_t crc = static_cast<std::uint16_t>(i << 8);
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u
-                                                         : crc << 1);
-      }
-      t[i] = crc;
+/// Slicing-by-8 tables for CRC-16-CCITT (poly 0x1021, MSB first).
+/// Row 0 is the classic byte table; row k maps a byte to its CRC
+/// contribution when k zero bytes follow it, so one step folds eight input
+/// bytes with eight independent lookups instead of a serial chain of eight.
+using CrcTables = std::array<std::array<std::uint16_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint16_t crc = static_cast<std::uint16_t>(i << 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u
+                                                       : crc << 1);
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint16_t prev = t[k - 1][i];
+      t[k][i] = static_cast<std::uint16_t>((prev << 8) ^ t[0][prev >> 8]);
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 bool known_opcode(std::uint8_t op) {
   switch (static_cast<OpCode>(op)) {
@@ -71,11 +83,18 @@ const char* decode_error_name(DecodeErrorKind kind) {
 }
 
 std::uint16_t crc16(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
+  const CrcTables& t = kCrcTables;
   std::uint16_t crc = 0xFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = static_cast<std::uint16_t>((crc << 8) ^
-                                     table[((crc >> 8) ^ data[i]) & 0xFFu]);
+  std::size_t i = 0;
+  // The 16-bit register folds into the first two bytes of each block.
+  for (; i + 8 <= size; i += 8) {
+    const std::uint8_t* b = data + i;
+    crc = static_cast<std::uint16_t>(
+        t[7][b[0] ^ (crc >> 8)] ^ t[6][b[1] ^ (crc & 0xFFu)] ^ t[5][b[2]] ^
+        t[4][b[3]] ^ t[3][b[4]] ^ t[2][b[5]] ^ t[1][b[6]] ^ t[0][b[7]]);
+  }
+  for (; i < size; ++i) {
+    crc = static_cast<std::uint16_t>((crc << 8) ^ t[0][((crc >> 8) ^ data[i]) & 0xFFu]);
   }
   return crc;
 }
@@ -84,25 +103,41 @@ std::uint16_t crc16(const std::vector<std::uint8_t>& data) {
   return crc16(data.data(), data.size());
 }
 
+void seal_frame(std::uint8_t* frame, std::size_t payload_size, OpCode opcode,
+                std::uint8_t version) {
+  require(payload_size <= kMaxPayloadBytes,
+          "wire::seal_frame: payload exceeds kMaxPayloadBytes");
+  const std::uint32_t len = static_cast<std::uint32_t>(payload_size);
+  frame[0] = kSoh;
+  frame[1] = static_cast<std::uint8_t>(len & 0xFFu);
+  frame[2] = static_cast<std::uint8_t>((len >> 8) & 0xFFu);
+  frame[3] = static_cast<std::uint8_t>((len >> 16) & 0xFFu);
+  frame[4] = static_cast<std::uint8_t>((len >> 24) & 0xFFu);
+  frame[5] = static_cast<std::uint8_t>(opcode);
+  frame[6] = version;
+  // CRC covers length..payload (header byte excluded), big-endian per Mercury.
+  const std::uint16_t crc = crc16(frame + 1, 6 + payload_size);
+  std::uint8_t* trailer = frame + kFrameHeaderBytes + payload_size;
+  trailer[0] = static_cast<std::uint8_t>(crc >> 8);
+  trailer[1] = static_cast<std::uint8_t>(crc & 0xFFu);
+}
+
 void append_frame(std::vector<std::uint8_t>& out, OpCode opcode,
                   const std::vector<std::uint8_t>& payload,
                   std::uint8_t version) {
   require(payload.size() <= kMaxPayloadBytes,
           "wire::append_frame: payload exceeds kMaxPayloadBytes");
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::size_t body_begin = out.size() + 1;  // CRC covers length..payload.
-  out.reserve(out.size() + payload.size() + kFrameOverhead);
-  out.push_back(kSoh);
-  out.push_back(static_cast<std::uint8_t>(len & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>(opcode));
-  out.push_back(version);
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint16_t crc = crc16(out.data() + body_begin, out.size() - body_begin);
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));  // Big-endian, per Mercury.
-  out.push_back(static_cast<std::uint8_t>(crc & 0xFFu));
+  const std::size_t begin = out.size();
+  const std::size_t need = begin + payload.size() + kFrameOverhead;
+  // Grow geometrically: a checkpoint appends dozens of frames to one
+  // buffer, and an exact-fit reserve would copy the whole prefix each time.
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
+  out.resize(need);
+  std::uint8_t* frame = out.data() + begin;
+  if (!payload.empty()) {
+    std::memcpy(frame + kFrameHeaderBytes, payload.data(), payload.size());
+  }
+  seal_frame(frame, payload.size(), opcode, version);
 }
 
 std::vector<std::uint8_t> make_frame(OpCode opcode,

@@ -45,6 +45,10 @@ inline constexpr std::uint8_t kSoh = 0x01;
 /// version(1) + CRC(2).
 inline constexpr std::size_t kFrameOverhead = 9;
 
+/// Envelope bytes before the payload: SOH(1) + length(4) + opcode(1) +
+/// version(1). The payload starts at this offset inside a frame.
+inline constexpr std::size_t kFrameHeaderBytes = 7;
+
 /// Payload size cap. Large enough for a checkpoint shard chunk, small
 /// enough that a corrupted length field cannot make the decoder reserve
 /// gigabytes: any length beyond this is classified kBadLength.
@@ -102,12 +106,24 @@ struct DecodeResult {
   std::size_t next_offset = 0;
 };
 
-/// CRC-16-CCITT (poly 0x1021, init 0xFFFF), table-driven. This is the
-/// checksum the ThingMagic framing uses over length..payload.
+/// CRC-16-CCITT (poly 0x1021, init 0xFFFF), the checksum the ThingMagic
+/// framing uses over length..payload. Computed slicing-by-8: eight
+/// 256-entry tables fold eight bytes per step with independent lookups
+/// (the byte-at-a-time table loop finishes the tail). Same value as the
+/// bitwise definition for every input, alignment and length.
 std::uint16_t crc16(const std::uint8_t* data, std::size_t size);
 std::uint16_t crc16(const std::vector<std::uint8_t>& data);
 
-/// Appends one complete frame (envelope + payload + CRC) to `out`.
+/// Completes a frame whose payload was written in place: `frame` points at
+/// kFrameHeaderBytes of header space, then `payload_size` payload bytes,
+/// then 2 bytes for the CRC. Writes the envelope and the CRC trailer, so an
+/// encoder can build a whole frame in one buffer without a payload copy.
+/// Throws ConfigError if `payload_size` exceeds kMaxPayloadBytes.
+void seal_frame(std::uint8_t* frame, std::size_t payload_size, OpCode opcode,
+                std::uint8_t version = kWireVersion);
+
+/// Appends one complete frame (envelope + payload + CRC) to `out`, growing
+/// it geometrically (appending many frames to one buffer is linear).
 /// Throws ConfigError if `payload` exceeds kMaxPayloadBytes.
 void append_frame(std::vector<std::uint8_t>& out, OpCode opcode,
                   const std::vector<std::uint8_t>& payload,

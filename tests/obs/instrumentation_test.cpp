@@ -3,12 +3,15 @@
 // counts what it claims to count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <sstream>
 #include <string>
 
 #include "fault/schedule.hpp"
+#include "fleet/service.hpp"
 #include "gen2/reliable/multi_session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -313,6 +316,162 @@ TEST_F(InstrumentationTest, MultiSessionRunFeedsPerSessionCounters) {
 
 // Satellite fix for the lenient-parse blind spot: dropped rows now land in
 // a registry counter even when the caller discards ParseStats.
+// The fleet feed publishes per-pass tallies it already reports to its
+// caller: over a lossy, bit-flipping 4-facility run, every fleet.feed.*
+// {facility} counter, both per-facility latency histograms (bucket by
+// bucket, plus _count), and the unlabelled sys.uploader.wire_* and
+// obs.monitor.wire_* totals move by exactly what the FeedPassResults and
+// the feeds' own stats add up to.
+TEST_F(InstrumentationTest, FleetFeedRegistryTotalsMatchPassResults) {
+  constexpr std::size_t kFacilities = 4;
+  constexpr std::size_t kReaders = 2;
+  constexpr std::size_t kPasses = 12;
+  const obs::HistogramSpec latency_spec{1e-3, 4.0, 16};
+
+  track::ObjectRegistry objects;
+  for (std::uint64_t tag = 1; tag <= 24; ++tag) {
+    objects.bind_tag(scene::TagId{tag}, objects.add_object("box"));
+  }
+  fleet::FleetService service(objects);
+  for (std::size_t f = 0; f < kFacilities; ++f) {
+    fleet::FeedConfig config;
+    config.ingest.reader_count = kReaders;
+    config.ingest.silence_gap_s = 3.0;
+    config.objects_total = 24;
+    config.uploader.batch_size = 16;
+    config.uploader.loss_probability = 0.25;
+    config.uploader.initial_backoff_s = 0.4;  // Retries land past the window.
+    config.uploader.max_retries = 3;
+    config.uploader.max_nak_retransmits = 2;  // Some batches quarantine.
+    config.wire_corruption.bit_error_rate = 4e-4;
+    config.stale_horizon_s = 0.5;
+    service.add_facility(config);
+  }
+
+  // Counter families read through the registry, keyed by name + facility.
+  const char* const kFeedFamilies[] = {
+      "fleet.feed.wire_frames", "fleet.feed.wire_corrupt_frames",
+      "fleet.feed.wire_recovered_batches", "fleet.feed.wire_quarantined_batches",
+      "fleet.feed.stale_batches"};
+  const char* const kPlainCounters[] = {
+      "fleet.feed.passes", "fleet.feed.batches", "fleet.feed.quarantined",
+      "fleet.feed.late_batches", "fleet.feed.lost_batches",
+      "sys.uploader.wire_frames", "sys.uploader.wire_corrupt_frames",
+      "sys.uploader.wire_retransmits", "sys.uploader.wire_quarantined",
+      "obs.monitor.wire_frames", "obs.monitor.wire_corrupt_frames",
+      "obs.monitor.wire_recovered_batches", "obs.monitor.wire_quarantined_batches",
+      "obs.monitor.stale_batches"};
+  const char* const kHistograms[] = {"fleet.feed.visibility_lag_seconds",
+                                     "fleet.batch.visibility_latency_seconds"};
+  auto snapshot = [&] {
+    SeriesTotals out;
+    for (const char* name : kPlainCounters) out[name] = obs::counter(name).value();
+    for (std::size_t f = 0; f < kFacilities; ++f) {
+      const std::string label = std::to_string(f);
+      for (const char* name : kFeedFamilies) {
+        out[std::string(name) + "/" + label] =
+            obs::counter(name, {{"facility", label}}).value();
+      }
+      for (const char* name : kHistograms) {
+        const obs::Histogram& h =
+            obs::registry().histogram(name, {{"facility", label}}, latency_spec);
+        out[std::string(name) + "/" + label + "/count"] = h.count();
+        for (std::size_t b = 0; b <= h.edges().size(); ++b) {
+          out[std::string(name) + "/" + label + "/" + std::to_string(b)] = h.bucket_count(b);
+        }
+      }
+    }
+    return out;
+  };
+
+  const SeriesTotals before = snapshot();
+  SeriesTotals expected;
+  std::deque<obs::Histogram> lag, latency;  // Reference tallies per facility.
+  for (std::size_t f = 0; f < kFacilities; ++f) {
+    lag.emplace_back(latency_spec);
+    latency.emplace_back(latency_spec);
+  }
+  Rng rng(2007);
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    for (std::size_t f = 0; f < kFacilities; ++f) {
+      const double begin_s = 10.0 * static_cast<double>(pass);
+      sys::EventLog raw;
+      double t = begin_s + 0.05;
+      for (std::size_t i = 0; i < 60; ++i, t += 0.15) {
+        sys::ReadEvent ev;
+        ev.time_s = t;
+        ev.tag = scene::TagId{1 + (i * 7 + f + pass) % 24};
+        ev.reader_index = i % 13 == 5 ? 9 : i % kReaders;  // 9: quarantined.
+        ev.antenna_index = i % 2;
+        ev.rssi = DbmPower{-60.0};
+        raw.push_back(ev);
+      }
+      const double end_s = t;
+      const fleet::FeedPassResult r =
+          service.ingest_pass(static_cast<fleet::FacilityId>(f), raw, begin_s, end_s, rng);
+      const std::string label = std::to_string(f);
+      expected["fleet.feed.wire_frames/" + label] += r.frames_sent;
+      expected["fleet.feed.wire_corrupt_frames/" + label] += r.corrupt_frames;
+      expected["fleet.feed.wire_recovered_batches/" + label] += r.recovered_batches;
+      expected["fleet.feed.wire_quarantined_batches/" + label] += r.quarantined_batches;
+      expected["fleet.feed.stale_batches/" + label] += r.stale_batches;
+      expected["fleet.feed.passes"] += 1;
+      expected["fleet.feed.batches"] += r.batches.size();
+      expected["fleet.feed.quarantined"] += r.quarantined;
+      expected["fleet.feed.late_batches"] += r.late_batches;
+      expected["fleet.feed.lost_batches"] += r.lost_batches;
+      for (const fleet::FacilityBatch& batch : r.batches) {
+        for (const sys::ReadEvent& ev : batch.events) {
+          lag[f].observe(batch.arrival_time_s - ev.time_s);
+        }
+        latency[f].observe(std::max(end_s, batch.arrival_time_s) - batch.sent_time_s);
+      }
+    }
+  }
+  for (std::size_t f = 0; f < kFacilities; ++f) {
+    const fleet::FeedTotals& totals = service.feed(static_cast<fleet::FacilityId>(f)).totals();
+    const sys::WireUploadStats& wire = service.feed(static_cast<fleet::FacilityId>(f)).wire_stats();
+    expected["sys.uploader.wire_frames"] += totals.frames_sent;
+    expected["sys.uploader.wire_corrupt_frames"] += totals.corrupt_frames;
+    expected["sys.uploader.wire_retransmits"] += wire.nak_retransmits;
+    expected["sys.uploader.wire_quarantined"] += totals.quarantined_batches;
+    expected["obs.monitor.wire_frames"] += totals.frames_sent;
+    expected["obs.monitor.wire_corrupt_frames"] += totals.corrupt_frames;
+    expected["obs.monitor.wire_recovered_batches"] += totals.recovered_batches;
+    expected["obs.monitor.wire_quarantined_batches"] += totals.quarantined_batches;
+    expected["obs.monitor.stale_batches"] += totals.stale_batches;
+    const std::string label = std::to_string(f);
+    for (const auto& [name, h] : {std::pair{"fleet.feed.visibility_lag_seconds", &lag[f]},
+                                  std::pair{"fleet.batch.visibility_latency_seconds",
+                                            &latency[f]}}) {
+      const std::string key = std::string(name) + "/" + label;
+      expected[key + "/count"] += h->count();
+      for (std::size_t b = 0; b <= h->edges().size(); ++b) {
+        expected[key + "/" + std::to_string(b)] += h->bucket_count(b);
+      }
+    }
+  }
+  // Drop zero expectations so both sides list only what moved.
+  std::erase_if(expected, [](const auto& kv) { return kv.second == 0; });
+
+  const SeriesTotals delta = moved(snapshot(), before);
+  if (!kHooksLive) {
+    EXPECT_TRUE(delta.empty());
+    return;
+  }
+  // The run must exercise loss, lateness, staleness, corruption, recovery,
+  // quarantine at both layers, and both histograms.
+  for (const char* key :
+       {"fleet.feed.lost_batches", "fleet.feed.late_batches", "fleet.feed.quarantined",
+        "fleet.feed.stale_batches/1", "fleet.feed.wire_corrupt_frames/2",
+        "fleet.feed.wire_recovered_batches/3", "sys.uploader.wire_quarantined",
+        "sys.uploader.wire_retransmits", "fleet.feed.visibility_lag_seconds/0/count",
+        "fleet.batch.visibility_latency_seconds/3/count"}) {
+    EXPECT_TRUE(expected.contains(key)) << key;
+  }
+  EXPECT_EQ(delta, expected);
+}
+
 TEST_F(InstrumentationTest, LenientCsvParseCountsDroppedRows) {
   const std::string csv =
       "time_s,tag,reader,antenna,rssi_dbm\n"

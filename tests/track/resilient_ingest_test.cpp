@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "common/rng.hpp"
 
 #include "common/error.hpp"
 #include "fault/corruption.hpp"
@@ -262,6 +269,204 @@ TEST(ResilientIngestTest, ValidateEventMatchesIngestQuarantineRules) {
     std::string reason;
     if (!validate_event(ev, cfg, 0.0, 1.0, &reason)) {
       EXPECT_EQ(report.quarantine_samples[sample++], reason);
+    }
+  }
+}
+
+/// The node-based ingest the flat-vector dedup replaced, kept as the
+/// oracle: validate, stable-sort by time, collapse duplicates per
+/// (tag, reader, antenna) stream through a std::map, scan for silence.
+IngestReport reference_ingest(const IngestConfig& cfg, const sys::EventLog& raw,
+                              double begin_s, double end_s) {
+  IngestReport report;
+  sys::EventLog valid;
+  double high_water = -std::numeric_limits<double>::infinity();
+  for (const sys::ReadEvent& ev : raw) {
+    std::string reason;
+    if (!validate_event(ev, cfg, begin_s, end_s, &reason)) {
+      ++report.quarantined;
+      if (report.quarantine_samples.size() < IngestReport::kMaxQuarantineSamples) {
+        report.quarantine_samples.push_back(reason);
+      }
+      continue;
+    }
+    if (ev.time_s < high_water) ++report.reordered;
+    high_water = std::max(high_water, ev.time_s);
+    valid.push_back(ev);
+  }
+  std::stable_sort(valid.begin(), valid.end(),
+                   [](const sys::ReadEvent& a, const sys::ReadEvent& b) {
+                     return a.time_s < b.time_s;
+                   });
+  std::map<std::tuple<std::uint64_t, std::size_t, std::size_t>, double> last;
+  for (const sys::ReadEvent& ev : valid) {
+    const auto key = std::make_tuple(ev.tag.value, ev.reader_index, ev.antenna_index);
+    const auto it = last.find(key);
+    if (it != last.end() && ev.time_s - it->second <= cfg.dedup_window_s) {
+      ++report.duplicates;
+      continue;
+    }
+    last[key] = ev.time_s;
+    report.events.push_back(ev);
+  }
+  report.accepted = report.events.size();
+  std::size_t readers = cfg.reader_count;
+  if (readers == 0) {
+    for (const sys::ReadEvent& ev : report.events) {
+      readers = std::max(readers, ev.reader_index + 1);
+    }
+  }
+  for (std::size_t r = 0; r < readers; ++r) {
+    double cursor = begin_s;
+    for (const sys::ReadEvent& ev : report.events) {
+      if (ev.reader_index != r) continue;
+      if (ev.time_s - cursor > cfg.silence_gap_s) {
+        report.gaps.push_back({r, cursor, ev.time_s, false});
+      }
+      cursor = ev.time_s;
+    }
+    if (end_s - cursor > cfg.silence_gap_s) {
+      report.gaps.push_back({r, cursor, end_s, true});
+      report.degraded_readers.push_back(r);
+    }
+  }
+  return report;
+}
+
+/// The std::set-based monitor_observation the sort+unique version replaced.
+obs::PassObservation reference_observation(const IngestReport& report,
+                                           std::size_t reader_count,
+                                           std::size_t objects_total,
+                                           double begin_s, double end_s) {
+  obs::PassObservation out;
+  out.window_begin_s = begin_s;
+  out.window_end_s = end_s;
+  out.objects_total = objects_total;
+  out.readers.resize(reader_count);
+  std::set<std::uint64_t> all;
+  std::vector<std::set<std::uint64_t>> per_reader(reader_count);
+  for (const sys::ReadEvent& ev : report.events) {
+    all.insert(ev.tag.value);
+    if (ev.reader_index < reader_count) {
+      per_reader[ev.reader_index].insert(ev.tag.value);
+      ++out.readers[ev.reader_index].rounds;
+    }
+  }
+  out.objects_identified = std::min<std::uint64_t>(all.size(), objects_total);
+  for (std::size_t r = 0; r < reader_count; ++r) {
+    out.readers[r].objects_seen = std::min<std::uint64_t>(per_reader[r].size(), objects_total);
+  }
+  return out;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+void expect_same_report(const IngestReport& got, const IngestReport& want) {
+  ASSERT_EQ(got.events.size(), want.events.size());
+  for (std::size_t i = 0; i < want.events.size(); ++i) {
+    const sys::ReadEvent& a = got.events[i];
+    const sys::ReadEvent& b = want.events[i];
+    EXPECT_EQ(a.tag, b.tag) << "event " << i;
+    EXPECT_EQ(bits(a.time_s), bits(b.time_s)) << "event " << i;
+    EXPECT_EQ(a.reader_index, b.reader_index) << "event " << i;
+    EXPECT_EQ(a.antenna_index, b.antenna_index) << "event " << i;
+    EXPECT_EQ(bits(a.rssi.value()), bits(b.rssi.value())) << "event " << i;
+  }
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.duplicates, want.duplicates);
+  EXPECT_EQ(got.quarantined, want.quarantined);
+  EXPECT_EQ(got.reordered, want.reordered);
+  EXPECT_EQ(got.quarantine_samples, want.quarantine_samples);
+  ASSERT_EQ(got.gaps.size(), want.gaps.size());
+  for (std::size_t i = 0; i < want.gaps.size(); ++i) {
+    EXPECT_EQ(got.gaps[i].reader, want.gaps[i].reader);
+    EXPECT_EQ(bits(got.gaps[i].begin_s), bits(want.gaps[i].begin_s));
+    EXPECT_EQ(bits(got.gaps[i].end_s), bits(want.gaps[i].end_s));
+    EXPECT_EQ(got.gaps[i].to_window_end, want.gaps[i].to_window_end);
+  }
+  EXPECT_EQ(got.degraded_readers, want.degraded_readers);
+}
+
+/// A pass-shaped log with transport damage: re-deliveries inside, exactly
+/// at and outside the dedup window, whole stretches delivered out of
+/// order, a few implausible records, several readers and antennas, a
+/// reader that falls silent partway. Read times sit on a 2^-10 s grid, so
+/// with a dyadic window a re-delivery shifted by exactly the window lands
+/// exactly on the boundary.
+sys::EventLog damaged_pass(Rng& rng, double dedup_window_s) {
+  sys::EventLog log;
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+  const std::size_t silent_from = static_cast<std::size_t>(rng.uniform_int(0, 300));
+  double t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += std::ldexp(static_cast<double>(rng.uniform_int(0, 30)), -10);
+    const std::size_t reader = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    if (reader == 2 && i > silent_from) continue;
+    sys::ReadEvent ev = event(t, static_cast<std::uint64_t>(rng.uniform_int(1, 25)), reader,
+                              static_cast<std::size_t>(rng.uniform_int(0, 2)),
+                              -50.0 - rng.uniform(0.0, 30.0));
+    if (rng.bernoulli(0.03)) ev.rssi = DbmPower(40.0);  // Implausible.
+    if (rng.bernoulli(0.02)) ev.reader_index = 7;       // No such reader.
+    log.push_back(ev);
+    if (rng.bernoulli(0.15)) {  // Re-delivered copy.
+      sys::ReadEvent copy = ev;
+      switch (rng.uniform_int(0, 3)) {
+        case 0: break;  // Exact repeat.
+        case 1: copy.time_s += rng.uniform(0.0, dedup_window_s); break;
+        case 2: copy.time_s += dedup_window_s; break;  // On the boundary.
+        default: copy.time_s += dedup_window_s * rng.uniform(1.0, 3.0); break;
+      }
+      log.push_back(copy);
+    }
+  }
+  // Out-of-order batch arrival: rotate a few random stretches.
+  for (int k = 0; k < 3 && log.size() > 2; ++k) {
+    const auto a = static_cast<std::ptrdiff_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(log.size()) - 2));
+    const auto b = static_cast<std::ptrdiff_t>(
+        rng.uniform_int(a + 1, static_cast<std::int64_t>(log.size()) - 1));
+    std::rotate(log.begin() + a, log.begin() + (a + b) / 2 + 1, log.begin() + b + 1);
+  }
+  return log;
+}
+
+TEST(ResilientIngestTest, MatchesNodeBasedReferenceOnDamagedLogs) {
+  Rng rng(0x1D6E57);
+  for (int trial = 0; trial < 300; ++trial) {
+    IngestConfig cfg;
+    // The default window, a dyadic one (exact boundary hits), or any.
+    cfg.dedup_window_s = trial % 3 == 0   ? 0.002
+                         : trial % 3 == 1 ? std::ldexp(1.0, -static_cast<int>(rng.uniform_int(5, 9)))
+                                          : rng.uniform(0.0, 0.05);
+    cfg.silence_gap_s = rng.uniform(0.2, 2.0);
+    cfg.reader_count = trial % 4 == 0 ? 0 : 4;  // 0: roster from the data.
+    cfg.antenna_count = trial % 2 == 0 ? 0 : 3;
+    const ResilientIngest ingest(cfg);
+    const sys::EventLog log = damaged_pass(rng, cfg.dedup_window_s);
+    const double end_s = (log.empty() ? 0.0 : log.back().time_s) + rng.uniform(0.0, 3.0);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    const IngestReport got = ingest.ingest(log, 0.0, end_s);
+    const IngestReport want = reference_ingest(cfg, log, 0.0, end_s);
+    expect_same_report(got, want);
+
+    const std::size_t readers = 4;
+    const std::size_t objects_total = static_cast<std::size_t>(rng.uniform_int(0, 30));
+    const obs::PassObservation a = monitor_observation(got, readers, objects_total, 0.0, end_s);
+    const obs::PassObservation b =
+        reference_observation(want, readers, objects_total, 0.0, end_s);
+    EXPECT_EQ(bits(a.window_begin_s), bits(b.window_begin_s));
+    EXPECT_EQ(bits(a.window_end_s), bits(b.window_end_s));
+    EXPECT_EQ(a.objects_total, b.objects_total);
+    EXPECT_EQ(a.objects_identified, b.objects_identified);
+    ASSERT_EQ(a.readers.size(), b.readers.size());
+    for (std::size_t r = 0; r < readers; ++r) {
+      EXPECT_EQ(a.readers[r].rounds, b.readers[r].rounds) << "reader " << r;
+      EXPECT_EQ(a.readers[r].objects_seen, b.readers[r].objects_seen) << "reader " << r;
     }
   }
 }

@@ -6,6 +6,9 @@
 #include <limits>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "wire/batch_codec.hpp"
+
 namespace rfidsim::wire {
 namespace {
 
@@ -29,6 +32,121 @@ TEST(Crc16Test, DetectsEverySingleBitError) {
     damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     EXPECT_NE(crc16(damaged), good) << "missed flip at bit " << bit;
   }
+}
+
+/// CRC-16-CCITT straight from the definition, one bit at a time: the
+/// oracle the table-driven crc16 must match.
+std::uint16_t crc16_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint16_t crc = 0xFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = static_cast<std::uint16_t>(crc ^ (data[i] << 8));
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000u) ? (crc << 1) ^ 0x1021u : crc << 1);
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16Test, SlicingMatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(0xC16);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  // Every start offset inside one 8-byte block, every length through 1 KiB:
+  // the 8-byte main loop, the byte tail and their seam at each alignment.
+  for (std::size_t start = 0; start < 8; ++start) {
+    const std::uint8_t* p = buf.data() + start;
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc16(p, len), crc16_bitwise(p, len))
+          << "start " << start << ", length " << len;
+    }
+  }
+}
+
+/// Doubles from raw bit patterns, so NaN payloads and -0.0 travel too.
+double from_bits(std::uint64_t bits) {
+  double x = 0.0;
+  std::memcpy(&x, &bits, sizeof x);
+  return x;
+}
+
+/// A batch with hostile field values: full-width EPCs, arbitrary time and
+/// RSSI bit patterns (NaN payloads, -0.0, infinities), and huge reader and
+/// antenna indices, so every varint can reach its 10-byte worst case.
+EventBatch hostile_batch(Rng& rng, std::size_t events) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t specials[] = {0,
+                                    kMax,
+                                    0x8000000000000000ULL,  // -0.0
+                                    0x7FF8DEADBEEF0001ULL,  // quiet NaN, payload
+                                    0xFFF0000000000001ULL,  // signalling NaN
+                                    0x7FF0000000000000ULL,  // +inf
+                                    1};
+  auto pick = [&]() -> std::uint64_t {
+    if (rng.bernoulli(0.3)) {
+      return specials[static_cast<std::size_t>(rng.uniform_int(0, std::size(specials) - 1))];
+    }
+    return rng.next_u64() >> rng.uniform_int(0, 63);
+  };
+  EventBatch batch;
+  batch.facility = static_cast<std::uint32_t>(rng.bernoulli(0.5) ? rng.next_u64() : 0xFFFFFFFFu);
+  batch.sent_time_s = from_bits(pick());
+  batch.arrival_time_s = from_bits(pick());
+  for (std::size_t i = 0; i < events; ++i) {
+    sys::ReadEvent ev;
+    ev.tag = scene::TagId{i > 0 && rng.bernoulli(0.4) ? batch.events[static_cast<std::size_t>(
+                                                             rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]
+                                                            .tag.value
+                                                      : pick()};
+    ev.time_s = from_bits(pick());
+    ev.reader_index = static_cast<std::size_t>(pick());
+    ev.antenna_index = static_cast<std::size_t>(pick());
+    ev.rssi = DbmPower{from_bits(pick())};
+    batch.events.push_back(ev);
+  }
+  return batch;
+}
+
+TEST(EventBatchFrameTest, OneBufferEncoderMatchesFramedPayload) {
+  Rng rng(0xF4A3E);
+  std::vector<std::size_t> sizes = {0, 1, 2, 32, 33, 257};
+  for (int i = 0; i < 200; ++i) sizes.push_back(static_cast<std::size_t>(rng.uniform_int(0, 64)));
+  for (const std::size_t n : sizes) {
+    const EventBatch batch = hostile_batch(rng, n);
+    const std::vector<std::uint8_t> frame = encode_event_batch_frame(batch);
+    ASSERT_EQ(frame, make_frame(OpCode::kEventBatch, encode_event_batch(batch)))
+        << n << " events";
+    const DecodeResult res = next_frame(frame, 0);
+    ASSERT_TRUE(res.ok);
+    const std::optional<EventBatch> decoded = decode_event_batch(res.frame);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_TRUE(*decoded == batch) << n << " events";
+  }
+}
+
+TEST(EventBatchFrameTest, WorstCaseVarintsFitTheEncoderBound) {
+  // Every per-event field at its widest: each event's EPC is distinct and
+  // far from its neighbours, indices are SIZE_MAX, and time/RSSI bits
+  // alternate between extremes so each zigzag delta needs 10 bytes.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EventBatch batch;
+  batch.facility = 0xFFFFFFFFu;
+  batch.sent_time_s = from_bits(0);
+  for (std::size_t i = 0; i < 64; ++i) {
+    sys::ReadEvent ev;
+    ev.tag = scene::TagId{kMax - i * (kMax / 64)};
+    ev.time_s = from_bits(i % 2 == 0 ? 0x8000000000000000ULL : 0);
+    ev.reader_index = std::numeric_limits<std::size_t>::max();
+    ev.antenna_index = std::numeric_limits<std::size_t>::max();
+    ev.rssi = DbmPower{from_bits(i % 2 == 0 ? 0x8000000000000000ULL : 0)};
+    batch.events.push_back(ev);
+  }
+  const std::vector<std::uint8_t> frame = encode_event_batch_frame(batch);
+  ASSERT_EQ(frame, make_frame(OpCode::kEventBatch, encode_event_batch(batch)));
+  const DecodeResult res = next_frame(frame, 0);
+  ASSERT_TRUE(res.ok);
+  const std::optional<EventBatch> decoded = decode_event_batch(res.frame);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(*decoded == batch);
 }
 
 TEST(FrameTest, RoundTripsPayloadAndMetadata) {
